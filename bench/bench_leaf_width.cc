@@ -4,8 +4,9 @@
 // times, per width: the raw kd build, kd Nearest (the purest leaf-scan
 // cell), the static engine's NonzeroNN hot path (NonzeroDelta +
 // NonzeroNNWithinInto — two weighted kd traversals), and the dynamic
-// engine's warm Monte-Carlo Quantify (per-round NearestSquared scans, with
-// the answer cache OFF so repeats re-evaluate). Answers are identical at
+// engine's warm Monte-Carlo Quantify (kd traversals for the Delta(q)
+// bound and the candidate report, with the answer cache OFF so repeats
+// re-evaluate). Answers are identical at
 // every width (tests/kd_width_test.cc); this bench decides the default.
 //
 // Part 2 measures the cross-query answer cache at the default width: p50
@@ -114,8 +115,8 @@ WidthCell RunWidth(int width, int kd_n, int engine_n, int num_queries, int mc_ro
   });
 
   // Dynamic engine, Monte-Carlo plan forced, warm pass. The answer cache
-  // is OFF so every repeat re-runs the per-round kd scans this cell is
-  // meant to measure.
+  // is OFF so every repeat re-runs the kd traversals (Delta(q) and the
+  // candidate report) this cell is meant to measure.
   dyn::Options dopt;
   dopt.engine.kd_leaf_size = width;
   dopt.engine.spiral_budget_fraction = 1e-9;

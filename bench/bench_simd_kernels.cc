@@ -73,11 +73,10 @@ void RawKernelBench(bool quick, Table* table, BenchJson* json) {
     };
     Kernel kernels[] = {{"sqdist_scan", 0, 0},
                         {"dist_scan", 0, 0},
-                        {"argmin_sqdist", 0, 0},
                         {"product", 0, 0}};
     for (bool forced : {true, false}) {
       simd::ForceScalarForTest(forced);
-      double ns[4];
+      double ns[3];
       ns[0] = TimeKernel(n, reps, [&] {
         simd::SquaredDistScan(xs.data(), ys.data(), n, qx, qy, out.data());
         g_sink = out[n - 1];
@@ -86,13 +85,8 @@ void RawKernelBench(bool quick, Table* table, BenchJson* json) {
         simd::DistScan(xs.data(), ys.data(), n, qx, qy, out.data());
         g_sink = out[n - 1];
       });
-      ns[2] = TimeKernel(n, reps, [&] {
-        double m;
-        g_sink = static_cast<double>(
-            simd::ArgminSquaredDist(xs.data(), ys.data(), n, qx, qy, &m));
-      });
-      ns[3] = TimeKernel(n, reps, [&] { g_sink = simd::Product(vals.data(), n); });
-      for (int k = 0; k < 4; ++k) {
+      ns[2] = TimeKernel(n, reps, [&] { g_sink = simd::Product(vals.data(), n); });
+      for (int k = 0; k < 3; ++k) {
         (forced ? kernels[k].scalar_ns : kernels[k].simd_ns) = ns[k];
       }
     }
@@ -118,36 +112,30 @@ void KdLeafScanBench(int n, int num_queries, Table* table, BenchJson* json) {
   std::vector<Point2> queries(static_cast<size_t>(num_queries));
   for (auto& q : queries) q = {rng.Uniform(-110, 110), rng.Uniform(-110, 110)};
 
-  for (const char* mode : {"nearest", "nearest_squared"}) {
-    double p50[2] = {0, 0};
-    for (bool forced : {true, false}) {
-      simd::ForceScalarForTest(forced);
-      // One untimed pass settles scratch pools, then the timed pass.
-      std::vector<double> lat;
-      lat.reserve(queries.size());
-      for (int pass = 0; pass < 2; ++pass) {
-        lat.clear();
-        for (Point2 q : queries) {
-          Timer t;
-          if (std::strcmp(mode, "nearest") == 0) {
-            g_sink = static_cast<double>(tree.Nearest(q));
-          } else {
-            g_sink = static_cast<double>(tree.NearestSquared(q));
-          }
-          lat.push_back(t.Micros());
-        }
+  double p50[2] = {0, 0};
+  for (bool forced : {true, false}) {
+    simd::ForceScalarForTest(forced);
+    // One untimed pass settles scratch pools, then the timed pass.
+    std::vector<double> lat;
+    lat.reserve(queries.size());
+    for (int pass = 0; pass < 2; ++pass) {
+      lat.clear();
+      for (Point2 q : queries) {
+        Timer t;
+        g_sink = static_cast<double>(tree.Nearest(q));
+        lat.push_back(t.Micros());
       }
-      p50[forced ? 0 : 1] = Percentile(&lat, 50.0);
     }
-    simd::ForceScalarForTest(false);
-    double speedup = p50[1] > 0 ? p50[0] / p50[1] : 0.0;
-    std::string name = std::string("kd_") + mode;
-    table->AddRow({name, Table::Num(p50[0] * 1000.0, 3),
-                   Table::Num(p50[1] * 1000.0, 3), Table::Num(speedup, 2)});
-    json->Add(name, {{"scalar_p50_nanos", p50[0] * 1000.0},
-                     {"simd_p50_nanos", p50[1] * 1000.0},
-                     {"speedup", speedup}});
+    p50[forced ? 0 : 1] = Percentile(&lat, 50.0);
   }
+  simd::ForceScalarForTest(false);
+  double speedup = p50[1] > 0 ? p50[0] / p50[1] : 0.0;
+  const char* name = "kd_nearest";
+  table->AddRow({name, Table::Num(p50[0] * 1000.0, 3),
+                 Table::Num(p50[1] * 1000.0, 3), Table::Num(speedup, 2)});
+  json->Add(name, {{"scalar_p50_nanos", p50[0] * 1000.0},
+                   {"simd_p50_nanos", p50[1] * 1000.0},
+                   {"speedup", speedup}});
 }
 
 void WarmMcBench(int n, int num_queries, Table* table, BenchJson* json) {

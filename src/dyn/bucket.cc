@@ -14,7 +14,7 @@ namespace {
 Engine::Options BucketEngineOptions(Engine::Options options) {
   // Per-point stream ids sized for some other point set must not leak into
   // the bucket engine's validation; the dynamic engine maintains id-keyed
-  // per-round structures itself (see McRounds).
+  // per-point sample rows itself (see McRounds).
   options.mc_stream_ids.clear();
   return options;
 }
@@ -55,31 +55,74 @@ int Bucket::LocalIndex(Id id) const {
   return static_cast<int>(it - ids_.begin());
 }
 
+McRounds ExtendMcRounds(const McRounds& cur, size_t rounds, uint64_t seed,
+                        const std::vector<Id>& ids,
+                        const std::function<const UncertainPoint&(size_t)>& point,
+                        exec::ThreadPool* pool) {
+  constexpr size_t K = McRounds::kBlockRounds;
+  constexpr size_t kMembersPerTask = 4;
+  if (rounds <= cur.rounds) return cur;
+  // Full blocks are shared as they are; a partial last block is rebuilt
+  // wider, copying its drawn columns instead of resampling them.
+  size_t first = cur.rounds / K;
+  size_t end = (rounds + K - 1) / K;
+  std::vector<std::shared_ptr<McRounds::Block>> fresh(end - first);
+  for (size_t b = first; b < end; ++b) {
+    auto block = std::make_shared<McRounds::Block>();
+    block->width = std::min(K, rounds - b * K);
+    block->samples.resize(ids.size() * 2 * block->width);
+    fresh[b - first] = std::move(block);
+  }
+  const McRounds::Block* partial =
+      first < cur.blocks.size() ? cur.blocks[first].get() : nullptr;
+  // Tasks are runs of members across every new block: equal work each, so
+  // the fan-out balances whatever the block widths.
+  size_t m = ids.size();
+  size_t tasks = (m + kMembersPerTask - 1) / kMembersPerTask;
+  exec::MaybeParallelFor(pool, tasks, [&](size_t t) {
+    size_t j_end = std::min(m, (t + 1) * kMembersPerTask);
+    for (size_t j = t * kMembersPerTask; j < j_end; ++j) {
+      uint64_t stream = static_cast<uint64_t>(ids[j]);
+      for (size_t b = first; b < end; ++b) {
+        McRounds::Block& block = *fresh[b - first];
+        size_t w = block.width;
+        double* row = block.samples.data() + j * 2 * w;
+        size_t drawn = 0;
+        if (b == first && partial != nullptr) {
+          drawn = partial->width;
+          const double* old = partial->samples.data() + j * 2 * drawn;
+          std::copy(old, old + drawn, row);
+          std::copy(old + drawn, old + 2 * drawn, row + w);
+        }
+        for (size_t k = drawn; k < w; ++k) {
+          Rng rng = MakeStreamRng(SplitSeed(seed, b * K + k), stream);
+          Point2 p = point(j).Sample(&rng);
+          row[k] = p.x;
+          row[w + k] = p.y;
+        }
+      }
+    }
+  });
+  McRounds next;
+  next.blocks.assign(cur.blocks.begin(), cur.blocks.begin() + first);
+  next.blocks.insert(next.blocks.end(), fresh.begin(), fresh.end());
+  next.rounds = rounds;
+  return next;
+}
+
 std::shared_ptr<const McRounds> Bucket::EnsureRounds(size_t rounds,
                                                      exec::ThreadPool* pool) const {
   auto cur = std::atomic_load_explicit(&mc_, std::memory_order_acquire);
-  if (cur && cur->trees.size() >= rounds) return cur;
+  if (cur && cur->rounds >= rounds) return cur;
   std::lock_guard<std::mutex> lock(mc_mu_);
   cur = std::atomic_load_explicit(&mc_, std::memory_order_acquire);
-  if (cur && cur->trees.size() >= rounds) return cur;
+  if (cur && cur->rounds >= rounds) return cur;
 
-  auto next = std::make_shared<McRounds>();
-  if (cur) next->trees = cur->trees;  // Share the already-built prefix.
-  size_t from = next->trees.size();
-  next->trees.resize(rounds);
   const UncertainSet& pts = engine_->points();
-  auto build_round = [&](size_t r) {
-    uint64_t round_seed = SplitSeed(seed_, r);
-    std::vector<Point2> samples(pts.size());
-    for (size_t j = 0; j < pts.size(); ++j) {
-      Rng rng = MakeStreamRng(round_seed, static_cast<uint64_t>(ids_[j]));
-      samples[j] = pts[j].Sample(&rng);
-    }
-    next->trees[r] = std::make_shared<const KdTree>(std::move(samples));
-  };
-  exec::MaybeParallelFor(pool, rounds - from, [&](size_t i) { build_round(from + i); });
-  std::atomic_store_explicit(&mc_, std::shared_ptr<const McRounds>(next),
-                             std::memory_order_release);
+  auto point = [&](size_t j) -> const UncertainPoint& { return pts[j]; };
+  std::shared_ptr<const McRounds> next = std::make_shared<McRounds>(
+      ExtendMcRounds(cur ? *cur : McRounds{}, rounds, seed_, ids_, point, pool));
+  std::atomic_store_explicit(&mc_, next, std::memory_order_release);
   return next;
 }
 

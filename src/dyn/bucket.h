@@ -1,6 +1,6 @@
 // One immutable Bentley–Saxe bucket of the dynamic engine: a frozen slice
 // of the live set with its own static pnn::Engine, plus a lazily extended
-// cache of per-round Monte-Carlo instantiations keyed by stable point ids.
+// cache of per-point Monte-Carlo sample rows keyed by stable point ids.
 //
 // A bucket never changes after construction; erases are tombstone masks
 // kept next to the bucket in the engine's snapshot, and growth happens by
@@ -9,13 +9,13 @@
 #ifndef PNN_DYN_BUCKET_H_
 #define PNN_DYN_BUCKET_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "src/core/pnn.h"
 #include "src/exec/thread_pool.h"
-#include "src/spatial/kdtree.h"
 
 namespace pnn {
 namespace dyn {
@@ -25,14 +25,38 @@ namespace dyn {
 /// fresh static Engine over the live set).
 using Id = int;
 
-/// Per-round Monte-Carlo search structures over a bucket's members. Round r
-/// holds a kd-tree over the samples drawn from the per-point streams
-/// SplitSeed(SplitSeed(seed, r), id_j) — exactly the samples a monolithic
-/// MonteCarloPNN with stream_ids = member ids draws, so a cross-bucket
-/// argmin per round reproduces its per-round nearest neighbor.
+/// Monte-Carlo instantiations of a fixed member list (a bucket's members,
+/// or a snapshot's live tail): member j's round-r sample comes from the
+/// stream SplitSeed(SplitSeed(seed, r), id_j) — exactly the sample a
+/// monolithic MonteCarloPNN with stream_ids = member ids draws, so a
+/// per-round argmin over the members' samples reproduces its per-round
+/// nearest neighbor. Rounds come in blocks of K = kBlockRounds (the last
+/// block may hold fewer); within a block of width w each member owns one
+/// contiguous sample row, its w x coordinates followed by its w y
+/// coordinates:
+///   x of round r = blocks[r / K]->samples[j * 2 * w + r % K]
+///   y of round r = the same index + w.
+/// A query reads whole rows of a few members, so a row is one memory
+/// stream. Blocks are immutable and shared between generations: an
+/// extension appends blocks and re-copies at most the one partial block.
 struct McRounds {
-  std::vector<std::shared_ptr<const KdTree>> trees;  // trees[r], local order.
+  static constexpr size_t kBlockRounds = 256;
+  struct Block {
+    size_t width = 0;  // Rounds held: kBlockRounds, or fewer in the last block.
+    std::vector<double> samples;
+  };
+  std::vector<std::shared_ptr<const Block>> blocks;
+  size_t rounds = 0;
 };
+
+/// `cur` extended to cover `rounds` rounds (`cur` itself when it already
+/// does) for members sampled from point(j) under stream id ids[j]. The
+/// new samples draw on `pool` when provided; they depend only on (seed,
+/// round, id), so the result is schedule-independent.
+McRounds ExtendMcRounds(const McRounds& cur, size_t rounds, uint64_t seed,
+                        const std::vector<Id>& ids,
+                        const std::function<const UncertainPoint&(size_t)>& point,
+                        exec::ThreadPool* pool);
 
 class Bucket {
  public:
@@ -54,10 +78,11 @@ class Bucket {
   /// Local index of `id`, or -1 (binary search; ids are ascending).
   int LocalIndex(Id id) const;
 
-  /// Rounds [0, rounds) of the Monte-Carlo cache, building any missing
-  /// suffix (on `pool` when provided). Builds serialize on an internal
-  /// mutex; the completed prefix is shared structurally between extensions,
-  /// and readers holding an older McRounds keep it alive via shared_ptr.
+  /// Sample rows covering rounds [0, rounds) of the Monte-Carlo cache,
+  /// drawing any missing rounds (on `pool` when provided). Builds
+  /// serialize on an internal mutex; completed blocks are shared between
+  /// extensions, and readers holding an older McRounds keep it alive via
+  /// shared_ptr.
   std::shared_ptr<const McRounds> EnsureRounds(size_t rounds,
                                                exec::ThreadPool* pool) const;
 

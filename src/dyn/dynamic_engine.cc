@@ -489,9 +489,10 @@ bool DynamicEngine::MaintenanceStep() {
     return true;
   }
   if (job.built != nullptr && job.prewarm_done < job.prewarm_rounds) {
-    // Chunked prewarm: each step extends the round cache by about one
-    // build_chunk's worth of sampled points (EnsureRounds shares the
-    // already-built prefix, so batching costs nothing).
+    // Chunked prewarm: each step extends the sample rows by about one
+    // build_chunk's worth of sampled points (EnsureRounds shares the full
+    // blocks and re-copies only the partial one, so batching costs a copy
+    // far cheaper than the sampling it interleaves).
     size_t per = job.prewarm_rounds;
     if (options_.build_chunk > 0) {
       per = std::max<size_t>(
@@ -638,7 +639,7 @@ void DynamicEngine::QuantifyInto(const Snapshot& snap, Point2 q,
     MergedSpiralQuantifyInto(snap, q, eps, out);
   } else {
     MergedMonteCarloQuantifyInto(snap, q, RoundsFor(snap, eps), options_.engine.seed,
-                                 options_.pool, out);
+                                 out);
   }
   if (cache != nullptr) cache->InsertQuants(key, *out);
 }

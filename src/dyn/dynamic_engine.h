@@ -25,8 +25,13 @@
 //     merged into the global distance order and fed through the same
 //     tie-grouped sweep (QuantifyPrefixSweep) a monolithic structure runs;
 //   * Monte-Carlo Quantify: samples are keyed by (seed, round, point id)
-//     (MonteCarloPNN::Options::stream_ids), so the per-round global NN is
-//     the cross-part argmin of per-part NNs over identical samples;
+//     (MonteCarloPNN::Options::stream_ids) and cached as per-point sample
+//     rows, so the per-round global NN is a running argmin over identical
+//     samples. Only Lemma 2.1 candidates (MinDistance(q) <= Delta(q), plus
+//     a rounding slack) can own a round's nearest sample, so only their
+//     rows are scanned — visiting parts in snapshot order and members in
+//     ascending local order with strict <, the same tie order as an
+//     argmin over every member;
 //   * QuantifyExact (discrete): per-part survival profiles multiply by the
 //     paper's independence structure (SurvivalProfile in core/prob).
 // Consequently answers match a fresh Engine(LiveSet(),
@@ -63,8 +68,9 @@ struct Options {
   /// Tombstone fraction of the structure that triggers a compaction.
   double max_dead_fraction = 0.25;
   /// When set, merges/compactions run as background jobs here and
-  /// Monte-Carlo round work fans out across it. When null, maintenance
-  /// runs inline in the update that triggered it. Unless
+  /// Monte-Carlo sample rows build across it (Prewarm, prewarm_after_build;
+  /// the query-time scan itself always runs on the calling thread). When
+  /// null, maintenance runs inline in the update that triggered it. Unless
   /// engine.build_pool is set explicitly, it defaults to this pool, so
   /// bucket kd builds fork per-subtree across the same workers.
   exec::ThreadPool* pool = nullptr;
@@ -86,11 +92,11 @@ struct Options {
   /// either way.
   size_t build_chunk = 8192;
   /// Prewarm as part of maintenance: when the Monte-Carlo plan is active
-  /// at default_eps, a merge/compaction builds the new bucket's per-round
-  /// structures before publishing it (and the published snapshot's tail
+  /// at default_eps, a merge/compaction draws the new bucket's Monte-Carlo
+  /// sample rows before publishing it (and the published snapshot's tail
   /// samples right after), so the first query after a bucket build doesn't
-  /// pay the lazy construction inside its latency. Round construction is
-  /// chunked by build_chunk like the bucket build itself.
+  /// pay the lazy construction inside its latency. Sampling is chunked by
+  /// build_chunk like the bucket build itself.
   bool prewarm_after_build = false;
   /// Attach an AnswerCache to every published snapshot: repeated queries
   /// against the same snapshot return the memoized answer instead of
@@ -130,9 +136,9 @@ struct Snapshot {
   /// Lazily built per-(seed, rounds) Monte-Carlo tail samples, shared by
   /// every query against this snapshot so repeated quantifications sample
   /// the tail once (null when the tail has no live entries — notably on
-  /// hand-built snapshots, where the merge layer falls back to direct
-  /// sampling). A snapshot publish starts a fresh cache: that is the
-  /// invalidation on insert/erase/merge/compaction.
+  /// hand-built snapshots, where the merge layer samples into a throwaway
+  /// cache per query). A snapshot publish starts a fresh cache: that is
+  /// the invalidation on insert/erase/merge/compaction.
   std::shared_ptr<TailMcCache> tail_mc;
   /// Cross-query answer memoization for this snapshot (null on hand-built
   /// snapshots and when Options::answer_cache is off — queries then just

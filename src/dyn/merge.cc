@@ -1,6 +1,7 @@
 #include "src/dyn/merge.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
@@ -10,7 +11,6 @@
 #include "src/dyn/tail_cache.h"
 #include "src/util/arena.h"
 #include "src/util/check.h"
-#include "src/util/rng.h"
 #include "src/util/simd.h"
 
 namespace pnn {
@@ -282,113 +282,134 @@ void MergedSpiralQuantifyInto(const Snapshot& snap, Point2 q, double eps,
 }
 
 std::vector<Quantification> MergedMonteCarloQuantify(const Snapshot& snap, Point2 q,
-                                                     size_t rounds, uint64_t seed,
-                                                     exec::ThreadPool* pool) {
+                                                     size_t rounds, uint64_t seed) {
   std::vector<Quantification> out;
-  MergedMonteCarloQuantifyInto(snap, q, rounds, seed, pool, &out);
+  MergedMonteCarloQuantifyInto(snap, q, rounds, seed, &out);
   return out;
 }
 
+namespace {
+
+// A Monte-Carlo candidate whose samples are cached: member `member` of a
+// bucket's or the tail cache's sample rows.
+struct McCandidate {
+  const McRounds* rows;
+  size_t member;
+  Id id;
+};
+
+// Folds candidate `label`'s samples into the per-round running argmin:
+// strict <, in the squared-distance domain Delaunay::Nearest compares in,
+// so a tied round stays with the candidate folded first. The select is
+// branch-free because which candidate is nearer in a round is random.
+void FoldCandidate(const McCandidate& c, int label, Point2 q, size_t rounds,
+                   double* best_sq, int* winners) {
+  constexpr size_t K = McRounds::kBlockRounds;
+  double sq[K];
+  for (size_t b = 0; b * K < rounds; ++b) {
+    const McRounds::Block& block = *c.rows->blocks[b];
+    const double* xs = block.samples.data() + c.member * 2 * block.width;
+    size_t len = std::min(block.width, rounds - b * K);
+    simd::SquaredDistScan(xs, xs + block.width, len, q.x, q.y, sq);
+    double* bs = best_sq + b * K;
+    int* ws = winners + b * K;
+    for (size_t k = 0; k < len; ++k) {
+      int closer = -static_cast<int>(sq[k] < bs[k]);
+      ws[k] = (label & closer) | (ws[k] & ~closer);
+      bs[k] = std::min(sq[k], bs[k]);
+    }
+  }
+}
+
+}  // namespace
+
 void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
-                                  uint64_t seed, exec::ThreadPool* pool,
-                                  std::vector<Quantification>* out) {
+                                  uint64_t seed, std::vector<Quantification>* out) {
   out->clear();
   if (snap.live_count == 0) return;  // Every part dead: nothing to sample.
   PNN_CHECK(rounds > 0);
+  // Lemma 2.1 prunes the scan: every live point has each round's sample
+  // within its MaxDistance(q), so a round's nearest sample lies within
+  // Delta(q), and only points with MinDistance(q) <= Delta(q) can own it.
+  // Samples may round a few ulps outside their support, so the bound is
+  // inflated relative to the coordinates' magnitude; the candidate set only
+  // has to be a superset — an extra candidate costs scan time, never a
+  // changed winner.
+  double delta = SnapshotNonzeroDelta(snap, q);
+  double bound =
+      delta + 1e-9 * (1.0 + delta + std::max(std::fabs(q.x), std::fabs(q.y)));
+
+  // Candidates in the tie order of an argmin over every live member:
+  // buckets in snapshot order, local indices ascending, then the tail in
+  // tail order.
   util::ScratchVec<std::shared_ptr<const McRounds>> mc_lease;
   std::vector<std::shared_ptr<const McRounds>>& mc = *mc_lease;
-  mc.assign(snap.buckets.size(), nullptr);
-  for (size_t b = 0; b < snap.buckets.size(); ++b) {
-    if (snap.buckets[b].live_count > 0) {
-      mc[b] = snap.buckets[b].bucket->EnsureRounds(rounds, pool);
-    }
-  }
-  // Tail samples come from the snapshot's cache when it has one (built
-  // once per snapshot, shared by every query); hand-built snapshots
-  // without a cache fall back to drawing the streams directly. Both paths
-  // visit the live tail in tail order with identical per-(round, id)
-  // samples, so winners are bit-identical.
-  std::shared_ptr<const TailSamples> tail_samples;
-  if (snap.tail_mc != nullptr) {
-    tail_samples = snap.tail_mc->Ensure(snap, rounds, seed);
-  }
-  util::ScratchVec<const TailEntry*> tail_lease;
-  std::vector<const TailEntry*>& tail_live = *tail_lease;
-  tail_live.clear();
-  if (snap.tail_mc == nullptr && snap.tail != nullptr) {
-    const std::vector<TailEntry>& entries = *snap.tail;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (snap.TailAlive(i)) tail_live.push_back(&entries[i]);
-    }
-  }
-
-  // Per round, the nearest sample over the live set is the argmin over the
-  // parts' nearest samples; winners are round-indexed, so the fan-out
-  // schedule cannot change the result.
-  util::ScratchVec<Id> winners_lease;
-  std::vector<Id>& winners = *winners_lease;
-  winners.assign(rounds, -1);
-  const TailSamples* ts = tail_samples.get();
-  // The whole round runs in the squared-distance domain (no sqrt anywhere:
-  // comparisons are monotone, only the winner id survives) — the same
-  // domain Delaunay::Nearest compares in, so dyn-vs-static winners stay
-  // bit-identical, and the tail row collapses to one fused argmin kernel.
-  auto body = [&](size_t r) {
-    double best_sq = kInf;
-    Id best = -1;
-    for (size_t b = 0; b < snap.buckets.size(); ++b) {
-      const auto& bref = snap.buckets[b];
-      if (bref.live_count == 0) continue;
-      double sq;
-      int li = mc[b]->trees[r]->NearestSquared(q, &sq, bref.dead.get());
-      if (li >= 0 && sq < best_sq) {
-        best_sq = sq;
-        best = bref.bucket->ids()[li];
-      }
-    }
-    if (ts != nullptr) {
-      size_t m = ts->ids.size();
-      double row_sq;
-      ptrdiff_t j = simd::ArgminSquaredDist(ts->xs.data() + r * m,
-                                            ts->ys.data() + r * m, m, q.x, q.y,
-                                            &row_sq);
-      if (j >= 0 && row_sq < best_sq) {
-        best_sq = row_sq;
-        best = ts->ids[j];
-      }
-    } else {
-      uint64_t round_seed = SplitSeed(seed, r);
-      for (const TailEntry* e : tail_live) {
-        Rng rng = MakeStreamRng(round_seed, static_cast<uint64_t>(e->id));
-        double sq = SquaredDistance(q, e->point.Sample(&rng));
-        if (sq < best_sq) {
-          best_sq = sq;
-          best = e->id;
-        }
-      }
-    }
-    winners[r] = best;
-  };
-  exec::MaybeParallelFor(pool, rounds, body);
-
-  // Winner histogram without a node-based map: sort a scratch copy and
-  // run-length encode (ascending ids — the same order std::map iterated).
-  util::ScratchVec<Id> sorted_lease;
-  std::vector<Id>& sorted = *sorted_lease;
-  sorted.assign(winners.begin(), winners.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < sorted.size();) {
-    size_t j = i;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    out->push_back(
-        {sorted[i], static_cast<double>(j - i) / static_cast<double>(rounds)});
-    i = j;
-  }
-  // Drop the round-table refs (and stale tail pointers) before the leases
-  // return to the arena: a pooled buffer must not pin retired buckets'
-  // sample structures on an idle thread.
   mc.clear();
-  tail_live.clear();
+  util::ScratchVec<McCandidate> cand_lease;
+  std::vector<McCandidate>& cands = *cand_lease;
+  cands.clear();
+  {
+    util::ScratchVec<int> locals_lease;
+    std::vector<int>& locals = *locals_lease;
+    for (const auto& bref : snap.buckets) {
+      if (bref.live_count == 0) continue;
+      const Bucket& b = *bref.bucket;
+      b.engine().NonzeroNNWithinInto(q, bound, bref.dead.get(), &locals);
+      if (locals.empty()) continue;
+      mc.push_back(b.EnsureRounds(rounds, nullptr));
+      for (int local : locals) {
+        cands.push_back({mc.back().get(), static_cast<size_t>(local), b.ids()[local]});
+      }
+    }
+  }
+  // Tail samples come from the snapshot's cache (built once per snapshot,
+  // shared by every query); a hand-built snapshot without one samples into
+  // a throwaway cache. Samples are per-(round, id) either way.
+  std::shared_ptr<const TailSamples> tail_samples;
+  if (snap.tail != nullptr) {
+    std::optional<TailMcCache> local;
+    TailMcCache* cache = snap.tail_mc ? snap.tail_mc.get() : &local.emplace();
+    tail_samples = cache->Ensure(snap, rounds, seed);
+    const TailSamples& ts = *tail_samples;
+    for (size_t j = 0; j < ts.ids.size(); ++j) {
+      if ((*snap.tail)[ts.tail_index[j]].point.MinDistance(q) < bound) {
+        cands.push_back({&ts.rows, j, ts.ids[j]});
+      }
+    }
+  }
+
+  util::ScratchVec<double> best_lease;
+  std::vector<double>& best_sq = *best_lease;
+  best_sq.assign(rounds, kInf);
+  // Per round, the index in cands of the nearest candidate so far.
+  util::ScratchVec<int> winners_lease;
+  std::vector<int>& winners = *winners_lease;
+  winners.assign(rounds, -1);
+  for (size_t i = 0; i < cands.size(); ++i) {
+    FoldCandidate(cands[i], static_cast<int>(i), q, rounds, best_sq.data(),
+                  winners.data());
+  }
+
+  // Winner histogram per candidate, then ascending ids (live ids are
+  // unique, so each candidate is one id).
+  util::ScratchVec<int> counts_lease;
+  std::vector<int>& counts = *counts_lease;
+  counts.assign(cands.size(), 0);
+  for (int w : winners) {
+    if (w >= 0) ++counts[w];
+  }
+  for (size_t i = 0; i < cands.size(); ++i) {
+    if (counts[i] == 0) continue;
+    out->push_back(
+        {cands[i].id, static_cast<double>(counts[i]) / static_cast<double>(rounds)});
+  }
+  std::sort(out->begin(), out->end(),
+            [](const Quantification& a, const Quantification& b) {
+              return a.index < b.index;
+            });
+  // Drop the sample-row refs before the lease returns to the arena: a
+  // pooled buffer must not pin retired buckets' rows on an idle thread.
+  mc.clear();
 }
 
 std::vector<Quantification> MergedQuantifyExact(const Snapshot& snap, Point2 q) {
@@ -458,7 +479,7 @@ void PrewarmWorkerScratch(size_t points_hint, size_t rounds_hint) {
   util::ScratchVec<WeightedLocation>::Prewarm(1, cap);
   // Monte-Carlo recombination (MergedMonteCarloQuantifyInto).
   util::ScratchVec<std::shared_ptr<const McRounds>>::Prewarm(1, 16);
-  util::ScratchVec<const TailEntry*>::Prewarm(1, 256);
+  util::ScratchVec<McCandidate>::Prewarm(1, cap);
   // Quantify sweep accumulators + survival gather buffer
   // (QuantifyPrefixSweepInto) and the shard router's per-shard delta table.
   util::ScratchVec<double>::Prewarm(4, cap);

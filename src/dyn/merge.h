@@ -62,21 +62,22 @@ std::vector<Quantification> MergedSpiralQuantify(const Snapshot& snap, Point2 q,
 void MergedSpiralQuantifyInto(const Snapshot& snap, Point2 q, double eps,
                               std::vector<Quantification>* out);
 
-/// Monte-Carlo quantification over `rounds` id-keyed instantiations: per
-/// round, the global nearest sample is the argmin over per-bucket nearest
-/// samples and the snapshot's cached tail samples (drawn directly when the
-/// snapshot carries no cache). Rounds fan out on `pool` when provided
-/// (results are round-indexed, so scheduling cannot change them).
+/// Monte-Carlo quantification over `rounds` id-keyed instantiations,
+/// pruned by Lemma 2.1: only live points with MinDistance(q) <= Delta(q)
+/// (= SnapshotNonzeroDelta, with a rounding slack) can own a round's
+/// nearest sample, so per round the global nearest sample is a running
+/// argmin over just those candidates' cached sample rows — buckets in
+/// snapshot order, local indices ascending, then the tail (sampled into a
+/// throwaway cache when the snapshot carries none). Runs on the calling
+/// thread.
 std::vector<Quantification> MergedMonteCarloQuantify(const Snapshot& snap, Point2 q,
-                                                     size_t rounds, uint64_t seed,
-                                                     exec::ThreadPool* pool);
+                                                     size_t rounds, uint64_t seed);
 
-/// MergedMonteCarloQuantify writing into `out` (cleared first); winners
-/// and histogram scratch come from the per-thread arena. With warm bucket
-/// rounds and a warm tail cache (and a null pool) this allocates nothing.
+/// MergedMonteCarloQuantify writing into `out` (cleared first); candidate,
+/// per-round and histogram scratch come from the per-thread arena. With
+/// warm bucket rows and a warm tail cache this allocates nothing.
 void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
-                                  uint64_t seed, exec::ThreadPool* pool,
-                                  std::vector<Quantification>* out);
+                                  uint64_t seed, std::vector<Quantification>* out);
 
 /// Exact discrete quantification by survival-profile recombination:
 ///   pi_i = sum over i's locations of
@@ -91,9 +92,9 @@ std::vector<Quantification> MergedQuantifyExact(const Snapshot& snap, Point2 q);
 /// allocations. Intended as a ThreadPool worker_init hook:
 ///   exec::ThreadPool::Options po;
 ///   po.worker_init = [] { dyn::PrewarmWorkerScratch(n_hint, rounds_hint); };
-/// `points_hint` ~ live points served per query (sizes stacks, heaps and
-/// report buffers), `rounds_hint` ~ Monte-Carlo rounds (sizes winner
-/// tables).
+/// `points_hint` ~ live points served per query (sizes stacks, heaps,
+/// report buffers and Monte-Carlo candidate lists), `rounds_hint` ~
+/// Monte-Carlo rounds (sizes the per-round winner and distance tables).
 void PrewarmWorkerScratch(size_t points_hint, size_t rounds_hint);
 
 }  // namespace dyn

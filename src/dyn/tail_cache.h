@@ -3,14 +3,17 @@
 // SplitSeed(SplitSeed(seed, r), id) — a pure function of (seed, r, id) —
 // so the samples can be computed once per snapshot and shared by every
 // query against it, instead of re-constructing one Rng per (round, tail
-// entry) per query. The cache object rides on the Snapshot (see
+// entry) per query. Samples are stored as per-point rows (McRounds, the
+// bucket layout), so the pruned winner scan in MergedMonteCarloQuantify
+// reads a tail candidate exactly like a bucket member. The cache object
+// rides on the Snapshot (see
 // Snapshot::tail_mc): a new snapshot publish (insert/erase/merge, or a new
 // combined union in the shard router) starts a fresh empty cache, which is
 // exactly the required invalidation.
 //
 // Concurrency mirrors Bucket::EnsureRounds: extensions serialize on a
 // mutex, readers take lock-free atomic-shared_ptr snapshots, and an
-// extension copies the already-built prefix so winners stay bit-identical
+// extension shares the already-built blocks so winners stay bit-identical
 // at any rounds progression.
 
 #ifndef PNN_DYN_TAIL_CACHE_H_
@@ -26,16 +29,13 @@
 namespace pnn {
 namespace dyn {
 
-/// One immutable generation of tail samples, stored SoA so the per-round
-/// winner scan in MergedMonteCarloQuantify runs a simd kernel over the
-/// row. Round-major: xs[r * ids.size() + j] / ys[r * ids.size() + j] are
-/// live entry j's round-r instantiation.
+/// One immutable generation of tail samples: the live tail entries (in
+/// tail order) and their sample rows.
 struct TailSamples {
   uint64_t seed = 0;
-  size_t rounds = 0;
   std::vector<Id> ids;               // Live tail ids, tail order.
   std::vector<uint32_t> tail_index;  // Position of ids[j] in the snapshot tail.
-  std::vector<double> xs, ys;
+  McRounds rows;                     // Member j is ids[j].
 };
 
 class TailMcCache {

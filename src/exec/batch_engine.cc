@@ -102,13 +102,15 @@ BatchResult<T> BatchEngine::Run(size_t n, const Fn& answer_one) const {
     latencies[i] = t.Micros();
   };
   bool parallel = pool_ && n >= options_.min_parallel_batch;
+  size_t active = 1;
   if (parallel) {
-    pool_->ParallelFor(n, one);
+    active = pool_->ParallelFor(n, one);
   } else {
     for (size_t i = 0; i < n; ++i) one(i);
   }
   out.stats.num_queries = n;
   out.stats.threads = parallel ? num_threads() : 1;
+  out.stats.threads_active = n > 0 ? active : 0;
   out.stats.wall_seconds = wall.Seconds();
   out.stats.queries_per_sec =
       out.stats.wall_seconds > 0 ? static_cast<double>(n) / out.stats.wall_seconds : 0.0;
@@ -218,6 +220,7 @@ BatchResult<api::QueryResponse> BatchEngine::RequestBatch(
   out.values.resize(n);
   std::vector<double> query_lat, update_lat;
   bool parallel_used = false;
+  size_t active = 0;  // Most threads any query run used.
   Timer wall;
 
   // The pin each query run answers against: captured once at the start of
@@ -255,11 +258,13 @@ BatchResult<api::QueryResponse> BatchEngine::RequestBatch(
     size_t lat_base = query_lat.size();
     query_lat.resize(lat_base + run);
     if (pool_ && run >= options_.min_parallel_batch) {
-      pool_->ParallelFor(
+      size_t used = pool_->ParallelFor(
           run, [&](size_t k) { answer_query(i + k, &query_lat[lat_base + k]); });
+      active = std::max(active, used);
       parallel_used = true;
     } else {
       for (size_t k = 0; k < run; ++k) answer_query(i + k, &query_lat[lat_base + k]);
+      active = std::max<size_t>(active, 1);
     }
     AccumulateCacheDelta(run_pin, cache_before, &out.stats);
     i = j;
@@ -269,6 +274,7 @@ BatchResult<api::QueryResponse> BatchEngine::RequestBatch(
   s.num_queries = query_lat.size();
   s.num_updates = update_lat.size();
   s.threads = parallel_used ? num_threads() : 1;
+  s.threads_active = active;
   s.wall_seconds = wall.Seconds();
   s.queries_per_sec = s.wall_seconds > 0
                           ? static_cast<double>(s.num_queries) / s.wall_seconds

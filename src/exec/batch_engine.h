@@ -55,7 +55,11 @@ struct BatchOptions {
 /// Per-batch execution statistics.
 struct BatchStats {
   size_t num_queries = 0;
-  size_t threads = 0;          // Threads actually used (1 when run inline).
+  size_t threads = 0;          // Threads deployed (1 when run inline).
+  /// Threads that answered at least one query — at most `threads`, and
+  /// scheduling-dependent: a tiny batch may finish on the caller before a
+  /// worker wakes. For a mixed batch, the most any query run used.
+  size_t threads_active = 0;
   double wall_seconds = 0.0;
   double queries_per_sec = 0.0;
   /// Plan mix for quantification batches (0/0 for NonzeroNN batches).

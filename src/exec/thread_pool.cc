@@ -97,13 +97,13 @@ void ThreadPool::WorkerLoop(size_t self) {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  size_t runners = std::min(size(), n);
-  if (runners <= 1) {
+size_t ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
+  // The caller participates, so even a one-worker pool runs two-wide.
+  if (size() == 0 || n <= 1) {
     for (size_t i = 0; i < n; ++i) body(i);
-    return;
+    return n == 0 ? 0 : 1;
   }
+  size_t runners = std::min(size(), n - 1);  // Plus the caller.
   // The wait below is on COMPLETED ITERATIONS, not on finished runner
   // tasks. Every claimed iteration is actively executing on some thread,
   // so completion never depends on a queued-but-unstarted runner — which
@@ -117,25 +117,35 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) 
   // index >= n and exits without ever touching `body` (whose reference
   // would be dangling by then); it reads only the shared_ptr-held
   // counters, so lingering queued runners are harmless no-ops.
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  auto completed = std::make_shared<std::atomic<size_t>>(0);
-  auto done_mu = std::make_shared<std::mutex>();
-  auto done_cv = std::make_shared<std::condition_variable>();
-  auto runner = [next, completed, done_mu, done_cv, n, &body] {
+  struct Shared {
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> completed{0};
+    // Runners that executed at least one iteration; each counts itself
+    // before publishing its completions, so the count is final once
+    // `completed` reaches n.
+    std::atomic<size_t> threads{0};
+    std::mutex mu;
+    std::condition_variable cv;
+  };
+  auto shared = std::make_shared<Shared>();
+  auto runner = [shared, n, &body] {
     size_t local = 0;
-    for (size_t i = next->fetch_add(1); i < n; i = next->fetch_add(1)) {
+    for (size_t i = shared->next.fetch_add(1); i < n; i = shared->next.fetch_add(1)) {
       body(i);
       ++local;
     }
-    if (local > 0 && completed->fetch_add(local) + local == n) {
-      std::lock_guard<std::mutex> lock(*done_mu);
-      done_cv->notify_all();
+    if (local == 0) return;
+    shared->threads.fetch_add(1);
+    if (shared->completed.fetch_add(local) + local == n) {
+      std::lock_guard<std::mutex> lock(shared->mu);
+      shared->cv.notify_all();
     }
   };
   for (size_t r = 0; r < runners; ++r) Submit(runner);
   runner();  // The caller participates instead of blocking idle.
-  std::unique_lock<std::mutex> lock(*done_mu);
-  done_cv->wait(lock, [&] { return completed->load() == n; });
+  std::unique_lock<std::mutex> lock(shared->mu);
+  shared->cv.wait(lock, [&] { return shared->completed.load() == n; });
+  return shared->threads.load();
 }
 
 Lane::Lane(ThreadPool* pool) : pool_(pool) {}

@@ -57,7 +57,8 @@ class ThreadPool {
   /// Runs body(i) for i in [0, n), distributed over the workers plus the
   /// calling thread; returns when all iterations finished. Iterations are
   /// claimed one at a time from a shared counter (dynamic scheduling).
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
+  /// Returns the number of threads that ran at least one iteration.
+  size_t ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
  private:
   struct WorkQueue {
@@ -82,10 +83,9 @@ class ThreadPool {
 /// body(i) for i in [0, n): on `pool` when it is non-null and the range
 /// has at least two iterations, serially on the calling thread otherwise —
 /// the shared optional-pool fallback of every build/fan-out site
-/// (structure builds, Monte-Carlo rounds, the shard bootstrap).
+/// (structure builds, Monte-Carlo sample rows, the shard bootstrap).
 /// Templated on the body so the serial branch calls it directly: no
-/// std::function type-erasure, hence no allocation on the null-pool query
-/// hot paths (the Monte-Carlo recombination runs through here per query).
+/// std::function type-erasure, hence no allocation without a pool.
 template <typename Body>
 void MaybeParallelFor(ThreadPool* pool, size_t n, const Body& body) {
   if (pool != nullptr && n > 1) {

@@ -35,6 +35,7 @@ Server::~Server() { Stop(); }
 bool Server::Start() {
   if (running_ || !ref_.valid()) return false;
   stopping_ = false;
+  worker_done_ = false;
 
   listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return false;
@@ -77,31 +78,20 @@ bool Server::Start() {
 
 void Server::Stop() {
   if (!running_) return;
-  stopping_ = true;
+  {
+    // Set under queue_mu_: a worker between its predicate check and its
+    // wait would otherwise miss both the flag and the notify below, and
+    // the join would hang.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stopping_ = true;
+  }
   // Worker first: it drains the queue (every admitted request gets its
-  // response) and exits; then the IO loop gets a bounded grace window to
-  // flush outboxes before closing.
+  // response) and exits — admission checks stopping_ under queue_mu_, so
+  // nothing is queued after this point; then the IO loop gets a bounded
+  // grace window to flush outboxes before closing.
   queue_cv_.notify_all();
   if (worker_thread_.joinable()) worker_thread_.join();
-  // Anything admitted after the worker's last pass (frames that were still
-  // in a socket buffer when Stop began) is answered kOverloaded here, so a
-  // received request is never silently dropped even across shutdown.
-  {
-    std::lock_guard<std::mutex> qlock(queue_mu_);
-    std::lock_guard<std::mutex> clock(completion_mu_);
-    for (Pending& p : queue_) {
-      Completion c;
-      c.conn_id = p.conn_id;
-      AppendResponseFrame(
-          p.request_id,
-          api::QueryResponse::Error(api::StatusCode::kOverloaded, p.request.kind,
-                                    "server shutting down"),
-          &c.bytes);
-      shed_overloaded_.fetch_add(1);
-      completions_.push_back(std::move(c));
-    }
-    queue_.clear();
-  }
+  worker_done_ = true;
   WakeIo();
   if (io_thread_.joinable()) io_thread_.join();
 
@@ -244,13 +234,13 @@ void Server::IoLoop() {
 
     DrainCompletions();
 
-    if (stopping_) {
+    if (worker_done_) {
       if (!draining) {
         draining = true;
         drain_deadline = Clock::now() + kDrainGrace;
       }
-      // Exit once every outbox is flushed (the worker has already
-      // drained the queue before Stop() woke us), or the grace expires.
+      // Exit once every outbox is flushed (the worker drained the queue
+      // and exited before Stop() set worker_done_), or the grace expires.
       bool flushed = true;
       {
         std::lock_guard<std::mutex> lock(completion_mu_);

@@ -176,6 +176,10 @@ class Server {
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
+  // Set by Stop once the worker is joined and its leftovers answered: only
+  // then may the IO loop flush and exit, or it would close connections
+  // before the worker's last completions are posted.
+  std::atomic<bool> worker_done_{false};
 
   std::thread io_thread_;
   std::thread worker_thread_;

@@ -406,7 +406,7 @@ void ShardedEngine::QuantifyInto(const CombinedView& view, Point2 q,
   } else {
     size_t rounds = dyn::McRoundsForSnapshot(snap, options_.shard.engine, eps);
     dyn::MergedMonteCarloQuantifyInto(snap, q, rounds, options_.shard.engine.seed,
-                                      options_.pool, out);
+                                      out);
   }
   if (cache != nullptr) cache->InsertQuants(cache_key, *out);
 }

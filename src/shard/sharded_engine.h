@@ -20,8 +20,8 @@
 //     merged into one global distance order (MergedSpiralQuantify over the
 //     combined snapshot);
 //   * Monte-Carlo Quantify: per-(seed, round, id) sample streams make the
-//     per-round NN a cross-shard argmin (MergedMonteCarloQuantify), rounds
-//     fanned out on the pool;
+//     per-round NN a cross-shard argmin over the Lemma 2.1 candidates
+//     (MergedMonteCarloQuantify over the combined snapshot);
 //   * QuantifyExact: per-part SurvivalProfile products (MergedQuantifyExact).
 // The plan rule and Monte-Carlo round count are evaluated over the UNION's
 // aggregates (PlanForSnapshot/McRoundsForSnapshot), so answers bit-match a
@@ -104,16 +104,15 @@ struct Options {
   /// recombination); its pool must be null — set `pool` below instead.
   dyn::Options shard;
   /// When set: per-shard maintenance runs here, NonzeroNN fans out across
-  /// shards, Monte-Carlo rounds fan out, structure builds fork
-  /// per-subtree, and auto_rebalance may schedule background moves. Must
+  /// shards, Monte-Carlo sample rows and structure builds fork across it,
+  /// and auto_rebalance may schedule background moves. Must
   /// outlive the engine. When null, everything runs inline on the calling
   /// thread. Query fan-out shares the pool with maintenance and rebalance
   /// jobs; each shard's maintenance runs as sliced steps on its own
   /// dedicated lane (see exec::Lane), so one shard's compaction occupies
   /// at most one worker between parallel sections and cannot starve
   /// another shard's merges; work stealing plus caller participation
-  /// keeps queries progressing alongside (a single-worker pool skips
-  /// query fan-out entirely).
+  /// keeps queries progressing alongside.
   exec::ThreadPool* pool = nullptr;
 
   // Rebalance policy:

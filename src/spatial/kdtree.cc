@@ -20,7 +20,7 @@ namespace pnn {
 //     kernels' first-position tie IS the lowest index within a leaf, and
 //   * the traversals never prune a node whose lower bound equals the
 //     current best (strict >) and break cross-leaf ties by index.
-// With that, Nearest/NearestSquared/MinAdditivelyWeighted winners and the
+// With that, Nearest/MinAdditivelyWeighted winners and the
 // Incremental emission order are pure functions of the point set —
 // width-8 and width-64 trees answer bit-identically
 // (tests/kd_width_test.cc).
@@ -291,72 +291,6 @@ int KdTree::Nearest(Point2 q, double* out_dist, const std::vector<char>* skip) c
     }
   }
   if (out_dist != nullptr) *out_dist = best;
-  return best_idx;
-}
-
-int KdTree::NearestSquared(Point2 q, double* out_sq,
-                           const std::vector<char>* skip) const {
-  PNN_CHECK_MSG(metric_ == Metric::kEuclidean,
-                "NearestSquared requires the Euclidean metric");
-  PNN_CHECK_MSG(!points_.empty(), "NearestSquared on empty tree");
-  double best = kInf;
-  int best_idx = -1;
-  util::ScratchVec<int> lease;
-  std::vector<int>& stack = *lease;
-  stack.clear();
-  stack.push_back(root_);
-  while (!stack.empty()) {
-    int id = stack.back();
-    stack.pop_back();
-    const Node& n = nodes_[id];
-    // Pruning and child ordering compare squared box distances — the same
-    // predicates Nearest evaluates post-sqrt, minus the sqrt. Strict >
-    // keeps tied subtrees visitable (the tie contract).
-    if (n.box.SquaredDistanceTo(q) > best) continue;
-    if (n.left < 0) {
-      if (skip == nullptr) {
-        double leaf_min;
-        ptrdiff_t rel = simd::ArgminSquaredDist(
-            sx_.data() + n.begin, sy_.data() + n.begin,
-            static_cast<size_t>(n.end - n.begin), q.x, q.y, &leaf_min);
-        if (rel >= 0) {
-          // Leaves are index-sorted, so the kernel's first-position
-          // minimum is the lowest tied index within this leaf.
-          int idx = order_[n.begin + static_cast<int>(rel)];
-          if (leaf_min < best || (leaf_min == best && idx < best_idx)) {
-            best = leaf_min;
-            best_idx = idx;
-          }
-        }
-      } else {
-        double d[kScanChunk];
-        for (int i = n.begin; i < n.end; i += kScanChunk) {
-          int cnt = std::min(n.end - i, kScanChunk);
-          simd::SquaredDistScan(sx_.data() + i, sy_.data() + i,
-                                static_cast<size_t>(cnt), q.x, q.y, d);
-          for (int k = 0; k < cnt; ++k) {
-            if ((*skip)[order_[i + k]]) continue;
-            int idx = order_[i + k];
-            if (d[k] < best || (d[k] == best && idx < best_idx)) {
-              best = d[k];
-              best_idx = idx;
-            }
-          }
-        }
-      }
-      continue;
-    }
-    double dl = nodes_[n.left].box.SquaredDistanceTo(q);
-    double dr = nodes_[n.right].box.SquaredDistanceTo(q);
-    if (dl < dr) {
-      stack.push_back(n.right);
-      stack.push_back(n.left);
-    } else {
-      stack.push_back(n.left);
-      stack.push_back(n.right);
-    }
-  }
-  if (out_sq != nullptr) *out_sq = best;
   return best_idx;
 }
 

@@ -122,17 +122,6 @@ class KdTree {
   int Nearest(Point2 q, double* out_dist = nullptr,
               const std::vector<char>* skip = nullptr) const;
 
-  /// Nearest in the SQUARED-distance domain (Euclidean metric only): same
-  /// winner rule as Nearest but every comparison — leaf argmin, box
-  /// pruning, child ordering — runs on fl(dx^2)+fl(dy^2) with no sqrt, so
-  /// leaves go through the fused simd::ArgminSquaredDist kernel. This is
-  /// the dynamic engine's per-round Monte-Carlo scan; it compares in the
-  /// same domain as Delaunay::Nearest, keeping dyn-vs-static winners
-  /// bit-identical. *out_sq receives the squared distance (+inf when all
-  /// points are skipped).
-  int NearestSquared(Point2 q, double* out_sq = nullptr,
-                     const std::vector<char>* skip = nullptr) const;
-
   /// The k nearest points, ascending by distance. Returns fewer if k > n.
   std::vector<int> KNearest(Point2 q, int k) const;
 

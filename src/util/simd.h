@@ -5,13 +5,13 @@
 // kernel inventory and the per-kernel reproducibility contract; the short
 // version:
 //
-//   * SquaredDistScan / DistScan / ArgminScan / ArgminSquaredDist are
+//   * SquaredDistScan / DistScan / ArgminScan are
 //     BIT-IDENTICAL across dispatch targets. Every floating-point step is
 //     an IEEE correctly-rounded operation (sub, mul, add, sqrt — never
 //     hypot, never FMA: no kernel TU is compiled with -mfma, and -mavx2
 //     alone does not enable contraction), applied per element in both
 //     implementations, so lane k of a vector computes exactly the scalar
-//     value. Argmin kernels additionally pin the tie-break: first index
+//     value. The argmin kernel additionally pins the tie-break: first index
 //     wins, NaN never wins (the util/stats MinIndex rule).
 //   * Product REASSOCIATES (vector lanes accumulate interleaved
 //     subsequences). Differential tests compare it against the sequential
@@ -45,16 +45,10 @@ struct Kernels {
   void (*dist_scan)(const double* xs, const double* ys, size_t n,
                     double qx, double qy, double* out);
 
-  /// Index of the first minimum of the squared distances (scanned in index
-  /// order, strict-< updates: ties keep the earliest index, NaN never
-  /// wins). Returns -1 with *min_out = +inf when n == 0 or no finite-
-  /// or-comparable value beats +inf (all NaN / all +inf).
-  ptrdiff_t (*argmin_sqdist)(const double* xs, const double* ys, size_t n,
-                             double qx, double qy, double* min_out);
-
-  /// First-minimum index of v[0, n) under the same tie-break rule
-  /// (pnn::MinIndex in util/stats.h is the one-place statement of it).
-  /// Returns n with *min_out = +inf when no element beats +inf.
+  /// Index of the first minimum of v[0, n), scanned in index order with
+  /// strict-< updates: ties keep the earliest index, NaN never wins
+  /// (pnn::MinIndex in util/stats.h is the one-place statement of the
+  /// rule). Returns n with *min_out = +inf when no element beats +inf.
   size_t (*argmin)(const double* v, size_t n, double* min_out);
 
   /// Product of v[0, n); empty product is 1. REASSOCIATES — 1e-9 contract.
@@ -86,10 +80,6 @@ inline void SquaredDistScan(const double* xs, const double* ys, size_t n,
 inline void DistScan(const double* xs, const double* ys, size_t n,
                      double qx, double qy, double* out) {
   Active().dist_scan(xs, ys, n, qx, qy, out);
-}
-inline ptrdiff_t ArgminSquaredDist(const double* xs, const double* ys, size_t n,
-                                   double qx, double qy, double* min_out) {
-  return Active().argmin_sqdist(xs, ys, n, qx, qy, min_out);
 }
 inline size_t ArgminScan(const double* v, size_t n, double* min_out) {
   return Active().argmin(v, n, min_out);

@@ -116,33 +116,6 @@ size_t ArgminAvx2(const double* v, size_t n, double* min_out) {
   return best_i;
 }
 
-ptrdiff_t ArgminSqDistAvx2(const double* xs, const double* ys, size_t n,
-                           double qx, double qy, double* min_out) {
-  double best = kInf;
-  size_t best_i = n;
-  size_t i = 0;
-  if (n >= 8) {
-    __m256d vqx = _mm256_set1_pd(qx), vqy = _mm256_set1_pd(qy);
-    LaneMin lane;
-    __m256d idx = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
-    for (; i + 4 <= n; i += 4) {
-      lane.Update(SqDistBlock(xs, ys, i, vqx, vqy), idx);
-      idx = _mm256_add_pd(idx, kIdxStep);
-    }
-    lane.Reduce(&best, &best_i);
-  }
-  for (; i < n; ++i) {
-    double dx = xs[i] - qx, dy = ys[i] - qy;
-    double d = dx * dx + dy * dy;
-    if (d < best) {
-      best = d;
-      best_i = i;
-    }
-  }
-  if (min_out != nullptr) *min_out = best;
-  return best_i == n ? -1 : static_cast<ptrdiff_t>(best_i);
-}
-
 double ProductAvx2(const double* v, size_t n) {
   // Reassociates: four interleaved lane products, folded at the end, then
   // the sequential tail — covered by the 1e-9 differential contract.
@@ -162,8 +135,7 @@ double ProductAvx2(const double* v, size_t n) {
 }
 
 const Kernels kAvx2 = {
-    "avx2",           SqDistScanAvx2, DistScanAvx2,
-    ArgminSqDistAvx2, ArgminAvx2,     ProductAvx2,
+    "avx2", SqDistScanAvx2, DistScanAvx2, ArgminAvx2, ProductAvx2,
 };
 
 }  // namespace

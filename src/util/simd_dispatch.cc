@@ -37,24 +37,6 @@ void DistScanScalar(const double* xs, const double* ys, size_t n,
   }
 }
 
-ptrdiff_t ArgminSqDistScalar(const double* xs, const double* ys, size_t n,
-                             double qx, double qy, double* min_out) {
-  // Fused form of SqDistScanScalar + MinIndex; same strict-< tie-break.
-  double best = kInf;
-  ptrdiff_t best_i = -1;
-  for (size_t i = 0; i < n; ++i) {
-    double dx = xs[i] - qx;
-    double dy = ys[i] - qy;
-    double d = dx * dx + dy * dy;
-    if (d < best) {
-      best = d;
-      best_i = static_cast<ptrdiff_t>(i);
-    }
-  }
-  if (min_out != nullptr) *min_out = best;
-  return best_i;
-}
-
 size_t ArgminScalar(const double* v, size_t n, double* min_out) {
   size_t i = MinIndex(v, n);  // The tie-break contract lives in MinIndex.
   if (min_out != nullptr) *min_out = i < n ? v[i] : kInf;
@@ -68,8 +50,7 @@ double ProductScalar(const double* v, size_t n) {
 }
 
 const Kernels kScalar = {
-    "scalar",        SqDistScanScalar, DistScanScalar,
-    ArgminSqDistScalar, ArgminScalar,  ProductScalar,
+    "scalar", SqDistScanScalar, DistScanScalar, ArgminScalar, ProductScalar,
 };
 
 const Kernels* Resolve() {

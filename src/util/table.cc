@@ -1,6 +1,7 @@
 #include "src/util/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "src/util/check.h"
@@ -37,8 +38,17 @@ void Table::Print() const {
 }
 
 std::string Table::Num(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+  // Never fewer than kMinSignificantDigits: a bench cell rounded to one
+  // figure ("2e+04") hides every difference worth reading. Values with at
+  // least that many integer digits print in full instead of switching to
+  // exponent notation.
+  int digits = std::max(precision, kMinSignificantDigits);
+  char buf[352];
+  if (std::isfinite(v) && std::fabs(v) >= std::pow(10.0, digits - 1)) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
+  }
   return buf;
 }
 

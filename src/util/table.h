@@ -21,8 +21,11 @@ class Table {
   /// Prints the table, aligned, to stdout.
   void Print() const;
 
-  /// Formats a double with the given precision.
-  static std::string Num(double v, int precision = 3);
+  static constexpr int kMinSignificantDigits = 4;
+  /// Formats a double with `precision` significant digits, but never
+  /// fewer than kMinSignificantDigits (trailing zeros dropped, as %g does;
+  /// large values print every integer digit, never in exponent form).
+  static std::string Num(double v, int precision = kMinSignificantDigits);
   /// Formats an integer.
   static std::string Int(long long v);
 

@@ -7,11 +7,13 @@
 // (util/alloc_hook.cc), so the assertions see every allocation in the
 // process.
 
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/dyn/dynamic_engine.h"
+#include "src/dyn/merge.h"
 #include "src/shard/sharded_engine.h"
 #include "src/util/alloc_hook.h"
 #include "src/util/rng.h"
@@ -94,6 +96,49 @@ TEST(AllocHotpath, DynamicMonteCarloQueriesAllocateNothing) {
   ASSERT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
   ASSERT_GT(engine.tail_size(), 0u);  // The tail-sample cache is exercised.
   ExpectZeroAllocQueries(&engine, TestQueries(&rng, 8), 0.1);
+}
+
+// The tests above repeat their warm-up queries, so with the answer cache
+// on they end on cache hits. Here every query is new and the cache is off:
+// each one runs the pruned Monte-Carlo scan at the theoretical round count.
+// On a thread whose scratch PrewarmWorkerScratch sized, with warm sample
+// rows and tail samples, not even the first query allocates.
+TEST(AllocHotpath, FreshMonteCarloQueriesOnPrewarmedThreadAllocateNothing) {
+  Rng rng(517);
+  dyn::Options opt;
+  opt.engine.seed = 99;
+  opt.answer_cache = false;
+  dyn::DynamicEngine engine(opt);
+  for (int i = 0; i < 300; ++i) {
+    Point2 c{rng.Uniform(-40, 40), rng.Uniform(-40, 40)};
+    engine.Insert(UncertainPoint::UniformDisk(c, rng.Uniform(0.5, 3.0)));
+  }
+  const double eps = 0.2;
+  ASSERT_EQ(engine.PlanForQuantify(eps), QuantifyPlan::kMonteCarlo);
+  ASSERT_GT(engine.tail_size(), 0u);
+  engine.Prewarm(eps);
+  size_t rounds = dyn::McRoundsForSnapshot(*engine.snapshot(), opt.engine, eps);
+  std::vector<Point2> queries = TestQueries(&rng, 16);
+  std::vector<int64_t> deltas;
+  std::vector<size_t> sizes;
+  std::thread worker([&] {
+    dyn::PrewarmWorkerScratch(engine.live_size(), rounds);
+    std::vector<Quantification> out;
+    out.reserve(engine.live_size());
+    deltas.reserve(queries.size());
+    sizes.reserve(queries.size());
+    for (Point2 q : queries) {
+      int64_t before = util::AllocationCount();
+      engine.QuantifyInto(q, eps, &out);
+      deltas.push_back(util::AllocationCount() - before);
+      sizes.push_back(out.size());
+    }
+  });
+  worker.join();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(deltas[i], 0) << "allocations in fresh query " << i;
+    EXPECT_GT(sizes[i], 0u);
+  }
 }
 
 TEST(AllocHotpath, ShardedSpiralQueriesAllocateNothing) {

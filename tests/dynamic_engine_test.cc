@@ -209,7 +209,7 @@ TEST(MergedEdges, DefaultSnapshotAnswersEmpty) {
   Point2 q{0, 0};
   EXPECT_TRUE(MergedNonzeroNN(snap, q).empty());
   EXPECT_TRUE(MergedSpiralQuantify(snap, q, 0.1).empty());
-  EXPECT_TRUE(MergedMonteCarloQuantify(snap, q, 8, 1, nullptr).empty());
+  EXPECT_TRUE(MergedMonteCarloQuantify(snap, q, 8, 1).empty());
   EXPECT_TRUE(MergedQuantifyExact(snap, q).empty());
   EXPECT_TRUE(SnapshotLiveSet(snap, nullptr).empty());
   EXPECT_EQ(SnapshotNonzeroDelta(snap, q),
@@ -235,7 +235,7 @@ TEST(MergedEdges, AllTombstonedPartsAnswerEmpty) {
   Point2 q{1, 1};
   EXPECT_TRUE(MergedNonzeroNN(snap, q).empty());
   EXPECT_TRUE(MergedSpiralQuantify(snap, q, 0.1).empty());
-  EXPECT_TRUE(MergedMonteCarloQuantify(snap, q, 8, 1, nullptr).empty());
+  EXPECT_TRUE(MergedMonteCarloQuantify(snap, q, 8, 1).empty());
   EXPECT_TRUE(MergedQuantifyExact(snap, q).empty());
   EXPECT_TRUE(SnapshotLiveSet(snap, nullptr).empty());
   EXPECT_EQ(SnapshotNonzeroDelta(snap, q),

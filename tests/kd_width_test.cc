@@ -235,11 +235,9 @@ TEST(KdWidth, RawTreeModesAgreeAcrossWidths) {
       KdTree tree(pts, weights, Metric::kEuclidean, build);
       EXPECT_EQ(tree.leaf_width() <= width, true);
       for (Point2 q : queries) {
-        double d0 = 0, d1 = 0, s0 = 0, s1 = 0;
+        double d0 = 0, d1 = 0;
         EXPECT_EQ(tree.Nearest(q, &d1), base.Nearest(q, &d0)) << "width " << width;
         EXPECT_EQ(d1, d0);
-        EXPECT_EQ(tree.NearestSquared(q, &s1), base.NearestSquared(q, &s0));
-        EXPECT_EQ(s1, s0);
         EXPECT_EQ(tree.KNearest(q, 7), base.KNearest(q, 7)) << "width " << width;
         int a0 = -1, a1 = -1;
         EXPECT_EQ(tree.MinAdditivelyWeighted(q, &a1),

@@ -112,7 +112,7 @@ class BlackHole {
   }
 
   int listen_fd_ = -1;
-  int conn_fd_ = -1;
+  std::atomic<int> conn_fd_{-1};  // Written by Run, read by the destructor.
   uint16_t port_ = 0;
   std::atomic<int> frames_{0};
   std::thread thread_;

@@ -394,6 +394,21 @@ TEST(ServeServer, StopIsGracefulAndIdempotent) {
   EXPECT_FALSE(server.running());
 }
 
+TEST(ServeServer, BackToBackStartStopNeverHangs) {
+  // A Stop right after Start can reach the worker between its queue
+  // predicate check and its wait; unless the flag is set under the queue
+  // lock, that wakeup is lost and the join hangs. No sleeps: every cycle
+  // races the worker's startup. The window is a few instructions wide, so
+  // it takes thousands of cycles to land in it with useful probability.
+  auto backend = MakeBackend(10);
+  Server server(api::EngineRef(backend.get()));
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(server.Start()) << "cycle " << i;
+    server.Stop();
+    ASSERT_FALSE(server.running()) << "cycle " << i;
+  }
+}
+
 TEST(ServeServer, ManyConnectionsConcurrently) {
   auto backend = MakeBackend();
   Server server(api::EngineRef(backend.get()));

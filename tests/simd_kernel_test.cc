@@ -89,17 +89,6 @@ void CheckAllKernels(const std::vector<double>& xs, const std::vector<double>& y
     }
   }
 
-  size_t want_i = RefMinIndex(ref_sq);
-  double min_sq = -1.0;
-  ptrdiff_t got_i = simd::ArgminSquaredDist(xs.data(), ys.data(), n, qx, qy, &min_sq);
-  if (want_i == n) {
-    EXPECT_EQ(got_i, -1);
-    EXPECT_EQ(min_sq, kInf);
-  } else {
-    EXPECT_EQ(static_cast<size_t>(got_i), want_i);
-    EXPECT_EQ(min_sq, ref_sq[want_i]);
-  }
-
   size_t want_v = RefMinIndex(ref_d);
   double min_v = -1.0;
   size_t got_v = simd::ArgminScan(ref_d.data(), n, &min_v);

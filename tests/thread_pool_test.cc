@@ -3,11 +3,17 @@
 #include "src/exec/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/exec/batch_engine.h"
+#include "src/workload/generators.h"
 
 namespace pnn {
 namespace exec {
@@ -84,6 +90,57 @@ TEST(ThreadPool, SingleWorkerStillCompletes) {
   std::atomic<int> total{0};
   pool.ParallelFor(100, [&](size_t) { total++; });
   EXPECT_EQ(total.load(), 100);
+}
+
+TEST(ThreadPool, OneWorkerPoolRunsTwoWide) {
+  // The caller participates, so a one-worker pool is two threads wide.
+  // Each iteration waits (bounded) until both have started — a rendezvous
+  // only two concurrent threads can complete — so the distinct-thread
+  // count below is a property of the schedule, not of timing.
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> threads;
+  int started = 0;
+  size_t active = pool.ParallelFor(2, [&](size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+    ++started;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(10), [&] { return started >= 2; });
+  });
+  EXPECT_EQ(threads.size(), 2u);
+  EXPECT_EQ(active, 2u);
+  EXPECT_EQ(pool.ParallelFor(1, [](size_t) {}), 1u);  // Single iteration: inline.
+  EXPECT_EQ(pool.ParallelFor(0, [](size_t) {}), 0u);
+}
+
+TEST(ThreadPool, TwoThreadBatchEngineAnswersOnBothThreads) {
+  // BatchOptions{num_threads = 2} is a one-worker pool plus the caller.
+  // 64 Monte-Carlo queries of 400 rounds each keep the caller busy far
+  // longer than a worker takes to wake, so both threads answer queries.
+  Rng rng(4242);
+  UncertainSet pts;
+  for (const Circle& c : RandomDisks(200, 30, 0.5, 2.0, &rng)) {
+    pts.push_back(UncertainPoint::UniformDisk(c.center, c.radius));
+  }
+  Engine::Options eopt;
+  eopt.mc_rounds_override = 400;
+  Engine engine(pts, eopt);
+  BatchEngine batch(&engine, BatchOptions{2, 1});
+  std::vector<Point2> queries(64);
+  for (Point2& q : queries) q = {rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
+  auto result = batch.QuantifyBatch(queries, 0.1);
+  EXPECT_EQ(result.stats.threads, 2u);
+  EXPECT_EQ(result.stats.threads_active, 2u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::vector<Quantification> want = engine.Quantify(queries[i], 0.1);
+    ASSERT_EQ(result.values[i].size(), want.size());
+    for (size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(result.values[i][j].index, want[j].index);
+      EXPECT_EQ(result.values[i][j].probability, want[j].probability);
+    }
+  }
 }
 
 TEST(ThreadPool, ParallelForUnderHeldLockNeverSelfDeadlocks) {

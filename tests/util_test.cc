@@ -117,6 +117,24 @@ TEST(Table, FormatsWithoutCrashing) {
   EXPECT_EQ(Table::Num(2.5, 2), "2.5");
 }
 
+TEST(Table, NumKeepsAtLeastFourSignificantDigits) {
+  // Precisions below four are raised to four...
+  EXPECT_EQ(Table::Num(1.23456, 1), "1.235");
+  EXPECT_EQ(Table::Num(0.0123456, 2), "0.01235");
+  EXPECT_EQ(Table::Num(63.7468, 0), "63.75");
+  // ...large values keep every integer digit instead of "2e+04"...
+  EXPECT_EQ(Table::Num(18923.4, 0), "18923");
+  EXPECT_EQ(Table::Num(-4567.8, 1), "-4568");
+  EXPECT_EQ(Table::Num(9999.7, 2), "10000");
+  // ...and higher precisions, trailing-zero trimming and non-finite
+  // values behave as %g.
+  EXPECT_EQ(Table::Num(3.14159265, 6), "3.14159");
+  EXPECT_EQ(Table::Num(2.0, 3), "2");
+  EXPECT_EQ(Table::Num(0.0), "0");
+  EXPECT_EQ(Table::Num(1e-7, 1), "1e-07");
+  EXPECT_EQ(Table::Num(std::numeric_limits<double>::infinity()), "inf");
+}
+
 TEST(ScratchVec, PrewarmPreSizesThePool) {
   // A distinct element type keeps this test independent of pools other
   // tests on this thread may have grown.
