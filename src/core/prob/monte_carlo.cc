@@ -34,32 +34,28 @@ MonteCarloPNN::MonteCarloPNN(const UncertainSet& points, const Options& options)
   PNN_CHECK_MSG(options.stream_ids.empty() || options.stream_ids.size() == n_,
                 "stream_ids must be empty or have one id per point");
 
-  // Round r draws from stream SplitSeed(seed, r) rather than one shared
-  // sequential stream: each instantiation depends only on (seed, r), so
-  // structures are bit-identical no matter which thread builds them or in
-  // what order — the property the parallel batch executor relies on for
-  // reproducible Monte-Carlo results, and what makes the round-indexed
-  // parallel build below exact. With stream_ids, the round stream is
-  // split once more per point (see Options::stream_ids).
+  // Each round's instantiation depends only on (seed, r) (RoundSample, see
+  // Options::stream_ids), so structures are bit-identical no matter which
+  // thread builds them or in what order: the property the parallel batch
+  // executor relies on for reproducible Monte-Carlo results, and what
+  // makes the round-indexed parallel build below exact.
   if (backend_ == Backend::kDelaunay) {
     delaunay_.resize(rounds_);
   } else {
     kd_.resize(rounds_);
   }
   auto build_round = [&](size_t r) {
-    Rng rng = MakeStreamRng(options.seed, r);
+    uint64_t round_seed = SplitSeed(options.seed, r);
     std::vector<Point2> instance(n_);
-    if (options.stream_ids.empty()) {
-      for (size_t i = 0; i < n_; ++i) instance[i] = points[i].Sample(&rng);
-    } else {
-      uint64_t round_seed = SplitSeed(options.seed, r);
-      for (size_t i = 0; i < n_; ++i) {
-        Rng prng = MakeStreamRng(round_seed, options.stream_ids[i]);
-        instance[i] = points[i].Sample(&prng);
-      }
+    for (size_t i = 0; i < n_; ++i) {
+      uint64_t id = options.stream_ids.empty() ? i : options.stream_ids[i];
+      instance[i] = RoundSample(points[i], round_seed, id);
     }
     if (backend_ == Backend::kDelaunay) {
-      delaunay_[r] = std::make_unique<Delaunay>(instance, rng.engine()());
+      // The randomized incremental construction takes its seed from the
+      // round's generator stream: one seeding per round, not per sample.
+      uint64_t dt_seed = MakeStreamRng(options.seed, r).engine()();
+      delaunay_[r] = std::make_unique<Delaunay>(instance, dt_seed);
     } else {
       kd_[r] = std::make_unique<KdTree>(std::move(instance));
     }

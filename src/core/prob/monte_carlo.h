@@ -17,6 +17,7 @@
 #include "src/exec/thread_pool.h"
 #include "src/spatial/kdtree.h"
 #include "src/uncertain/uncertain_point.h"
+#include "src/util/rng.h"
 
 namespace pnn {
 
@@ -32,13 +33,13 @@ class MonteCarloPNN {
     uint64_t seed = 1;
     Backend backend = Backend::kDelaunay;
     size_t rounds_override = 0;  // If nonzero, use exactly this many rounds.
-    /// When non-empty (size n), point i draws round r from the dedicated
-    /// stream SplitSeed(SplitSeed(seed, r), stream_ids[i]) instead of the
-    /// round's shared sequential stream. A point's instantiations then
-    /// depend only on (seed, r, its id) — not on which other points are in
-    /// the set — which is what lets the dynamic engine's per-bucket round
-    /// structures reproduce this structure's samples exactly under
-    /// arbitrary insert/erase histories.
+    /// Point i's round-r sample is RoundSample(point i, SplitSeed(seed, r),
+    /// id) with id = stream_ids[i] when this is non-empty (size n) and
+    /// id = i otherwise. With stream ids a point's instantiations depend
+    /// only on (seed, r, its id) — not on its position or on which other
+    /// points are in the set — which is what lets the dynamic engine's
+    /// per-point sample rows reproduce this structure's samples exactly
+    /// under arbitrary insert/erase histories.
     std::vector<uint64_t> stream_ids;
     /// When set, round structures build in parallel across the pool.
     /// Every round's samples and structure depend only on (seed, r), so
@@ -60,6 +61,18 @@ class MonteCarloPNN {
   /// The theoretical round count s(eps, delta) from Theorem 4.3 for the
   /// given instance size (used by default unless overridden).
   static size_t TheoreticalRounds(size_t n, size_t max_k, double eps, double delta);
+
+  /// Stream `id`'s sample in the round seeded round_seed = SplitSeed(seed,
+  /// r): UncertainPoint::SampleAt over draws 0 and 1 of the counter-based
+  /// stream keyed SplitSeed(round_seed, id) (StreamUniform, util/rng.h),
+  /// so no generator is seeded per sample. The dynamic engine's sample
+  /// rows (dyn::ExtendMcRounds) draw through this same definition, which
+  /// keeps them bit-identical to this structure's instantiations.
+  static Point2 RoundSample(const UncertainPoint& point, uint64_t round_seed,
+                            uint64_t id) {
+    uint64_t key = SplitSeed(round_seed, id);
+    return point.SampleAt(StreamUniform(key, 0), StreamUniform(key, 1));
+  }
 
  private:
   size_t n_ = 0;

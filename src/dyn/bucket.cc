@@ -95,8 +95,8 @@ McRounds ExtendMcRounds(const McRounds& cur, size_t rounds, uint64_t seed,
           std::copy(old + drawn, old + 2 * drawn, row + w);
         }
         for (size_t k = drawn; k < w; ++k) {
-          Rng rng = MakeStreamRng(SplitSeed(seed, b * K + k), stream);
-          Point2 p = point(j).Sample(&rng);
+          uint64_t round_seed = SplitSeed(seed, b * K + k);
+          Point2 p = MonteCarloPNN::RoundSample(point(j), round_seed, stream);
           row[k] = p.x;
           row[w + k] = p.y;
         }

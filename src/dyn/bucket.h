@@ -26,14 +26,14 @@ namespace dyn {
 using Id = int;
 
 /// Monte-Carlo instantiations of a fixed member list (a bucket's members,
-/// or a snapshot's live tail): member j's round-r sample comes from the
-/// stream SplitSeed(SplitSeed(seed, r), id_j) — exactly the sample a
-/// monolithic MonteCarloPNN with stream_ids = member ids draws, so a
-/// per-round argmin over the members' samples reproduces its per-round
-/// nearest neighbor. Rounds come in blocks of K = kBlockRounds (the last
-/// block may hold fewer); within a block of width w each member owns one
-/// contiguous sample row, its w x coordinates followed by its w y
-/// coordinates:
+/// or a snapshot's live tail): member j's round-r sample is
+/// MonteCarloPNN::RoundSample(point j, SplitSeed(seed, r), id_j) — exactly
+/// the sample a monolithic MonteCarloPNN with stream_ids = member ids
+/// draws, so a per-round argmin over the members' samples reproduces its
+/// per-round nearest neighbor. Rounds come in blocks of
+/// K = kBlockRounds (the last block may hold fewer); within a block of
+/// width w each member owns one contiguous sample row, its w x
+/// coordinates followed by its w y coordinates:
 ///   x of round r = blocks[r / K]->samples[j * 2 * w + r % K]
 ///   y of round r = the same index + w.
 /// A query reads whole rows of a few members, so a row is one memory
@@ -50,9 +50,10 @@ struct McRounds {
 };
 
 /// `cur` extended to cover `rounds` rounds (`cur` itself when it already
-/// does) for members sampled from point(j) under stream id ids[j]. The
-/// new samples draw on `pool` when provided; they depend only on (seed,
-/// round, id), so the result is schedule-independent.
+/// does) for members sampled from point(j) under stream id ids[j] by
+/// MonteCarloPNN::RoundSample. The new samples draw on `pool` when
+/// provided; they depend only on (seed, round, id), so the result is
+/// schedule-independent.
 McRounds ExtendMcRounds(const McRounds& cur, size_t rounds, uint64_t seed,
                         const std::vector<Id>& ids,
                         const std::function<const UncertainPoint&(size_t)>& point,

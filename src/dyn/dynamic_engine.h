@@ -24,14 +24,15 @@
 //   * spiral Quantify: per-bucket best-first location streams are k-way
 //     merged into the global distance order and fed through the same
 //     tie-grouped sweep (QuantifyPrefixSweep) a monolithic structure runs;
-//   * Monte-Carlo Quantify: samples are keyed by (seed, round, point id)
-//     (MonteCarloPNN::Options::stream_ids) and cached as per-point sample
-//     rows, so the per-round global NN is a running argmin over identical
-//     samples. Only Lemma 2.1 candidates (MinDistance(q) <= Delta(q), plus
-//     a rounding slack) can own a round's nearest sample, so only their
-//     rows are scanned — visiting parts in snapshot order and members in
-//     ascending local order with strict <, the same tie order as an
-//     argmin over every member;
+//   * Monte-Carlo Quantify: a sample is a pure function of (seed, round,
+//     point id) — two counter-based draws (MonteCarloPNN::RoundSample,
+//     keyed like Options::stream_ids) — cached as per-point sample rows,
+//     so the per-round global NN is a running argmin over identical
+//     samples. Only Lemma 2.1 candidates
+//     (MinDistance(q) <= Delta(q), plus a rounding slack) can own a
+//     round's nearest sample, so only their rows are scanned — visiting
+//     parts in snapshot order and members in ascending local order with
+//     strict <, the same tie order as an argmin over every member;
 //   * QuantifyExact (discrete): per-part survival profiles multiply by the
 //     paper's independence structure (SurvivalProfile in core/prob).
 // Consequently answers match a fresh Engine(LiveSet(),

@@ -14,8 +14,8 @@
 // to answering the queries one by one on a single thread, at any thread
 // count. This holds because (a) all structures are prewarmed before the
 // fan-out and queried through const, side-effect-free paths, and (b) the
-// Monte-Carlo structure derives round r from the seed stream
-// SplitSeed(seed, r) (see util/rng.h), so it is the same structure no
+// Monte-Carlo structure draws round r's samples from streams keyed by
+// (seed, r, point) (see util/rng.h), so it is the same structure no
 // matter which thread triggers its construction.
 //
 // One degenerate caveat: on inputs where a query is EXACTLY equidistant

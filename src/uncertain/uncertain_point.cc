@@ -216,27 +216,32 @@ double UncertainPoint::DistancePdf(Point2 q, double r) const {
 }
 
 Point2 UncertainPoint::Sample(Rng* rng) const {
+  // Two statements: the angle must be the second draw, and the evaluation
+  // order of function arguments is unspecified.
+  double u = rng->Uniform(0.0, 1.0);
+  if (is_discrete_) return SampleAt(u, 0.0);
+  double v = rng->Uniform(0.0, 1.0);
+  return SampleAt(u, v);
+}
+
+Point2 UncertainPoint::SampleAt(double u, double v) const {
   if (is_discrete_) {
-    double u = rng->Uniform(0.0, 1.0);
     const auto& cum = discrete_.cumulative;
     size_t idx = std::lower_bound(cum.begin(), cum.end(), u) - cum.begin();
     if (idx >= cum.size()) idx = cum.size() - 1;
     return discrete_.locations[idx];
   }
   const Circle& s = disk_.support;
+  double rho;
   if (disk_.pdf == DiskPdf::kUniform) {
-    double rho = s.radius * std::sqrt(rng->Uniform(0.0, 1.0));
-    double theta = rng->Uniform(0.0, 2.0 * M_PI);
-    return s.center + rho * UnitVector(theta);
+    rho = s.radius * std::sqrt(u);
+  } else {
+    // Truncated Gaussian: the radial cdf inverts in closed form.
+    double sg2 = 2.0 * disk_.sigma * disk_.sigma;
+    double z = 1.0 - std::exp(-s.radius * s.radius / sg2);
+    rho = std::min(std::sqrt(-sg2 * std::log1p(-u * z)), s.radius);
   }
-  // Truncated Gaussian: the radial cdf inverts in closed form.
-  double sg2 = 2.0 * disk_.sigma * disk_.sigma;
-  double z = 1.0 - std::exp(-s.radius * s.radius / sg2);
-  double u = rng->Uniform(0.0, 1.0);
-  double rho = std::sqrt(-sg2 * std::log1p(-u * z));
-  rho = std::min(rho, s.radius);
-  double theta = rng->Uniform(0.0, 2.0 * M_PI);
-  return s.center + rho * UnitVector(theta);
+  return s.center + rho * UnitVector(v * (2.0 * M_PI));
 }
 
 double UncertainPoint::ExpectedDistance(Point2 q) const {

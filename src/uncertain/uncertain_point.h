@@ -90,8 +90,16 @@ class UncertainPoint {
   /// density is a sum of Dirac masses; this returns 0 (use DistanceCdf).
   double DistancePdf(Point2 q, double r) const;
 
-  /// Draws a random location according to the distribution.
+  /// Draws a random location according to the distribution: SampleAt
+  /// over the next one (discrete) or two (continuous) Rng::Uniform draws.
   Point2 Sample(Rng* rng) const;
+
+  /// The location that uniforms u, v in [0, 1) map to by inverse-cdf
+  /// sampling: the discrete location whose cumulative weight first
+  /// reaches u, or for a disk the radius whose radial cdf equals u (r^2/R^2
+  /// for the uniform pdf, closed form for the truncated Gaussian) at angle
+  /// 2 pi v. v is unused for discrete points.
+  Point2 SampleAt(double u, double v) const;
 
   /// E[d(q, P_i)] — the expected-distance semantics of [AESZ12]. Exact for
   /// discrete; quadrature for continuous pdfs.

@@ -1,7 +1,8 @@
 // Seeded pseudo-random number generation used by workload generators,
-// samplers and the Monte-Carlo quantifier. A thin wrapper around
+// samplers and the Monte-Carlo quantifier: Rng, a thin wrapper around
 // std::mt19937_64 so every randomized component takes an explicit seed and
-// results are reproducible.
+// results are reproducible, plus the stateless SplitSeed-based streams
+// (SplitSeed, StreamUniform) for draws keyed by a counter.
 
 #ifndef PNN_UTIL_RNG_H_
 #define PNN_UTIL_RNG_H_
@@ -55,9 +56,24 @@ inline uint64_t SplitSeed(uint64_t seed, uint64_t stream) {
   return z ^ (z >> 31);
 }
 
-/// Rng seeded with SplitSeed(seed, stream).
+/// Rng seeded with SplitSeed(seed, stream). Seeding builds a full
+/// std::mt19937_64 state (312 words, then a twist on the first draw);
+/// where each (seed, round, id) needs only a draw or two, use
+/// StreamUniform instead.
 inline Rng MakeStreamRng(uint64_t seed, uint64_t stream) {
   return Rng(SplitSeed(seed, stream));
+}
+
+/// Draw `k` of the counter-based stream `key`: a uniform double in [0, 1)
+/// on the 2^-53 grid, computed statelessly as the top 53 bits of
+/// SplitSeed(key, k). The Monte-Carlo samplers key one stream per
+/// (seed, round r, point id) as key = SplitSeed(SplitSeed(seed, r), id)
+/// and take draws k = 0, 1 from it, so a sample costs two finalizer
+/// evaluations instead of one generator seeding, and stays a pure
+/// function of (seed, r, id) — the property that lets the dynamic
+/// engine's per-bucket sample rows reproduce MonteCarloPNN exactly.
+inline double StreamUniform(uint64_t key, uint64_t k) {
+  return static_cast<double>(SplitSeed(key, k) >> 11) * 0x1p-53;
 }
 
 }  // namespace pnn

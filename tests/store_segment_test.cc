@@ -5,6 +5,8 @@
 // bit-identical query answers. Plus the rejection side: corrupt bytes,
 // bad magic and seed mismatches must never load.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -20,8 +22,13 @@ namespace pnn {
 namespace store {
 namespace {
 
+// A path private to the running test: ctest runs every test as its own
+// process, concurrently, so a fixed file name would be overwritten and
+// deleted (or truncated under a live mmap) by a sibling test.
 std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
+  const testing::TestInfo* test = testing::UnitTest::GetInstance()->current_test_info();
+  return testing::TempDir() + "/" + test->test_suite_name() + "." + test->name() + "." +
+         std::to_string(getpid()) + "." + name;
 }
 
 UncertainPoint RandomDiscretePoint(Rng* rng) {

@@ -1,9 +1,14 @@
 // Tests for the uncertain-point model: distance extremes, cdfs/pdfs against
-// closed forms and Monte-Carlo ground truth, sampling correctness.
+// closed forms and Monte-Carlo ground truth, sampling correctness (frozen
+// Sample(Rng*) outputs, SampleAt over the counter-based streams).
 
 #include "src/uncertain/uncertain_point.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +144,128 @@ TEST(UncertainPoint, DiscreteSamplingFrequencies) {
   EXPECT_NEAR(counts[0] / double(kSamples), 0.6, 0.01);
   EXPECT_NEAR(counts[1] / double(kSamples), 0.3, 0.01);
   EXPECT_NEAR(counts[2] / double(kSamples), 0.1, 0.01);
+}
+
+// FNV-1a step over the bit pattern of one double.
+uint64_t MixBits(uint64_t h, double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof bits);
+  for (int i = 0; i < 8; ++i) {
+    h ^= (bits >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Sample(Rng*) feeds SampleAt one (discrete) or two (continuous) Uniform
+// draws. Workload generators, DiscretizeContinuous and the serving
+// benchmark's inputs all draw through it, so its outputs are frozen: the
+// first three samples and an FNV-1a digest of all 1024 were recorded from
+// the implementation before SampleAt existed.
+TEST(UncertainPoint, SampleOutputsAreFrozen) {
+  struct Case {
+    UncertainPoint point;
+    uint64_t seed;
+    int draws_per_sample;
+    Point2 first[3];
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {UncertainPoint::Discrete({{0, 0}, {3, 1}, {-2, 4}, {1, -5}}, {0.1, 0.2, 0.3, 0.4}),
+       20260,
+       1,
+       {{-0x1p+1, 0x1p+2}, {0x0p+0, 0x0p+0}, {0x1p+0, -0x1.4p+2}},
+       0xc3295a3827a2ed05ull},
+      {UncertainPoint::UniformDisk({2, -1}, 3),
+       20261,
+       2,
+       {{-0x1.ab7718442107p-3, -0x1.4148043ee24c2p+1},
+        {0x1.afd1e8a35c4c2p+0, -0x1.352147ab7ba84p-1},
+        {0x1.cf59f1d02374ep+1, 0x1.23e602e92eefep+0}},
+       0x6b23397dc1d38a10ull},
+      {UncertainPoint::TruncatedGaussian({-1, 2}, 4, 1.5),
+       20262,
+       2,
+       {{-0x1.d349e4530479dp-1, 0x1.a7ade063b125dp+0},
+        {0x1.b27e5c01af69p-1, 0x1.2beeba45224f4p+1},
+        {-0x1.0a7cdb6775506p-2, 0x1.bfcc53973863ap+0}},
+       0xdf62e20ddea131c5ull},
+  };
+  constexpr int kSamples = 1024;
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    uint64_t digest = 0xcbf29ce484222325ull;
+    for (int i = 0; i < kSamples; ++i) {
+      Point2 p = c.point.Sample(&rng);
+      if (i < 3) {
+        EXPECT_EQ(p.x, c.first[i].x) << "seed " << c.seed << " sample " << i;
+        EXPECT_EQ(p.y, c.first[i].y) << "seed " << c.seed << " sample " << i;
+      }
+      digest = MixBits(MixBits(digest, p.x), p.y);
+    }
+    EXPECT_EQ(digest, c.digest) << "seed " << c.seed;
+    // Each sample consumed exactly draws_per_sample uniforms.
+    Rng twin(c.seed);
+    for (int i = 0; i < kSamples * c.draws_per_sample; ++i) twin.Uniform(0.0, 1.0);
+    EXPECT_EQ(rng.Uniform(0.0, 1.0), twin.Uniform(0.0, 1.0)) << "seed " << c.seed;
+  }
+}
+
+// Chi-square statistic of bin counts against expected probabilities.
+double ChiSquare(const std::vector<int64_t>& counts, const std::vector<double>& probs) {
+  double n = 0;
+  for (int64_t c : counts) n += static_cast<double>(c);
+  double chi2 = 0;
+  for (size_t b = 0; b < counts.size(); ++b) {
+    double expect = n * probs[b];
+    double diff = static_cast<double>(counts[b]) - expect;
+    chi2 += diff * diff / expect;
+  }
+  return chi2;
+}
+
+// SampleAt over the Monte-Carlo samplers' counter-based streams (keys
+// SplitSeed(SplitSeed(seed, r), id), draws 0 and 1) reproduces each pdf:
+// the radial cdf and the angle of the disk pdfs, and the discrete weights.
+// 2^20 samples each, chi-square on fixed bins against the upper 1e-6
+// quantile of the chi-square law.
+TEST(UncertainPoint, SampleAtOverStreamsMatchesPdfs) {
+  constexpr int kBins = 20;
+  constexpr double kChi2Crit19 = 63.68;  // 19 degrees of freedom.
+  constexpr double kChi2Crit3 = 30.66;   // 3 degrees of freedom.
+  const double sigma = 1.5, radius = 4.0;
+  auto disk = UncertainPoint::UniformDisk({2, -1}, 3);
+  auto gauss = UncertainPoint::TruncatedGaussian({-1, 2}, radius, sigma);
+  auto discrete =
+      UncertainPoint::Discrete({{0, 0}, {1, 0}, {2, 0}, {3, 0}}, {0.1, 0.2, 0.3, 0.4});
+  auto bin = [&](double f) { return std::min(kBins - 1, static_cast<int>(f * kBins)); };
+  auto angle_bin = [&](Point2 p, Point2 c) {
+    return bin((std::atan2(p.y - c.y, p.x - c.x) + M_PI) / (2.0 * M_PI));
+  };
+  double gauss_norm = 1.0 - std::exp(-radius * radius / (2 * sigma * sigma));
+  std::vector<int64_t> disk_r(kBins), disk_theta(kBins), gauss_r(kBins),
+      gauss_theta(kBins), discrete_counts(4);
+  for (uint64_t r = 0; r < 1024; ++r) {
+    for (uint64_t id = 0; id < 1024; ++id) {
+      uint64_t key = SplitSeed(SplitSeed(31, r), id);
+      double u = StreamUniform(key, 0), v = StreamUniform(key, 1);
+      Point2 p = disk.SampleAt(u, v);
+      double rho = Distance(p, {2, -1});
+      ++disk_r[bin(rho * rho / 9.0)];
+      ++disk_theta[angle_bin(p, {2, -1})];
+      p = gauss.SampleAt(u, v);
+      rho = Distance(p, {-1, 2});
+      ++gauss_r[bin((1.0 - std::exp(-rho * rho / (2 * sigma * sigma))) / gauss_norm)];
+      ++gauss_theta[angle_bin(p, {-1, 2})];
+      ++discrete_counts[static_cast<int>(discrete.SampleAt(u, v).x + 0.5)];
+    }
+  }
+  std::vector<double> equal(kBins, 1.0 / kBins);
+  EXPECT_LT(ChiSquare(disk_r, equal), kChi2Crit19);
+  EXPECT_LT(ChiSquare(disk_theta, equal), kChi2Crit19);
+  EXPECT_LT(ChiSquare(gauss_r, equal), kChi2Crit19);
+  EXPECT_LT(ChiSquare(gauss_theta, equal), kChi2Crit19);
+  EXPECT_LT(ChiSquare(discrete_counts, {0.1, 0.2, 0.3, 0.4}), kChi2Crit3);
 }
 
 TEST(UncertainPoint, ExpectedDistanceDiscrete) {

@@ -1,8 +1,11 @@
-// Tests for the util module: stats, rng determinism, tables.
+// Tests for the util module: stats, rng determinism and the counter-based
+// Monte-Carlo streams, tables.
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -80,6 +83,74 @@ TEST(SplitSeed, DeterministicAndStreamDependent) {
     agree += a.UniformInt(0, 9) == b.UniformInt(0, 9);
   }
   EXPECT_LT(agree, 50);
+}
+
+// The Monte-Carlo samplers' stream key for (seed, round r, point id).
+uint64_t McStreamKey(uint64_t seed, uint64_t r, uint64_t id) {
+  return SplitSeed(SplitSeed(seed, r), id);
+}
+
+// Pearson correlation of paired draws.
+double Correlation(const std::vector<double>& a, const std::vector<double>& b) {
+  double n = static_cast<double>(a.size());
+  double ma = 0, mb = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ma += a[i];
+    mb += b[i];
+  }
+  ma /= n;
+  mb /= n;
+  double sab = 0, saa = 0, sbb = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    sab += (a[i] - ma) * (b[i] - mb);
+    saa += (a[i] - ma) * (a[i] - ma);
+    sbb += (b[i] - mb) * (b[i] - mb);
+  }
+  return sab / std::sqrt(saa * sbb);
+}
+
+TEST(StreamUniform, UnitIntervalMeanAndVariance) {
+  // Draws 0 and 1 of 1024 rounds x 512 ids: 2^20 values.
+  double sum = 0, sum_sq = 0;
+  size_t n = 0;
+  for (uint64_t r = 0; r < 1024; ++r) {
+    for (uint64_t id = 0; id < 512; ++id) {
+      uint64_t key = McStreamKey(99, r, id);
+      for (uint64_t k = 0; k < 2; ++k) {
+        double u = StreamUniform(key, k);
+        ASSERT_GE(u, 0.0);
+        ASSERT_LT(u, 1.0);
+        ASSERT_EQ(u * 0x1p53, std::floor(u * 0x1p53));  // On the 2^-53 grid.
+        sum += u;
+        sum_sq += (u - 0.5) * (u - 0.5);
+        ++n;
+      }
+    }
+  }
+  double dn = static_cast<double>(n);
+  // Var[U] = 1/12 and Var[(U - 1/2)^2] = 1/80 - 1/144 = 1/180.
+  EXPECT_NEAR(sum / dn, 0.5, 5.0 * std::sqrt(1.0 / 12.0 / dn));
+  EXPECT_NEAR(sum_sq / dn, 1.0 / 12.0, 5.0 * std::sqrt(1.0 / 180.0 / dn));
+}
+
+TEST(StreamUniform, NeighbouringKeysAndDrawsAreUncorrelated) {
+  // 2^20 pairs each: rounds r / r+1 and ids id / id+1 under one seed, and
+  // the two draws a continuous sample takes from one key.
+  constexpr uint64_t kRounds = 1024, kIds = 1024;
+  std::vector<double> base, next_round, next_id, second_draw;
+  for (uint64_t r = 0; r < kRounds; ++r) {
+    for (uint64_t id = 0; id < kIds; ++id) {
+      uint64_t key = McStreamKey(7, r, id);
+      base.push_back(StreamUniform(key, 0));
+      second_draw.push_back(StreamUniform(key, 1));
+      next_round.push_back(StreamUniform(McStreamKey(7, r + 1, id), 0));
+      next_id.push_back(StreamUniform(McStreamKey(7, r, id + 1), 0));
+    }
+  }
+  double bound = 5.0 / std::sqrt(static_cast<double>(base.size()));
+  EXPECT_LT(std::abs(Correlation(base, next_round)), bound);
+  EXPECT_LT(std::abs(Correlation(base, next_id)), bound);
+  EXPECT_LT(std::abs(Correlation(base, second_draw)), bound);
 }
 
 TEST(Percentile, MatchesOrderStatistics) {
