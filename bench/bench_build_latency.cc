@@ -4,11 +4,12 @@
 // per-update latency across merge/compaction boundaries for the dynamic
 // engine under three maintenance schedules — inline monolithic (the
 // worst-case doubling-boundary spike lands inside an update), pooled
-// monolithic (one long background task), and pooled sliced on a dedicated
-// lane (bounded steps with cooperative yields); (3) peak transient
-// allocation of a full compaction from the counting hook, against a naive
-// copy-and-rebuild baseline. Emits the BENCH_pr5.json trajectory with
-// host_cores (parallel-build speedup is only meaningful on >= 2 cores).
+// monolithic (one long background task), and pooled sliced (bounded steps
+// chained through the pool, a cooperative yield between steps); (3) peak
+// transient allocation of a full compaction from the counting hook,
+// against a naive copy-and-rebuild baseline. Emits the BENCH_pr5.json
+// trajectory with host_cores (parallel-build speedup is only meaningful on
+// >= 2 cores).
 //
 //   ./bench_build_latency [--quick] [--json PATH] [n]
 
@@ -136,21 +137,18 @@ void BenchUpdateLatency(const UncertainSet& initial, int ops, size_t cores,
   struct Config {
     const char* name;
     bool pool;
-    bool lane;
     size_t chunk;
   };
   const Config configs[] = {
-      {"updates_inline_monolithic", false, false, 0},
-      {"updates_pool_monolithic", true, false, 0},
-      {"updates_pool_sliced_lane", true, true, 4096},
+      {"updates_inline_monolithic", false, 0},
+      {"updates_pool_monolithic", true, 0},
+      {"updates_pool_sliced", true, 4096},
   };
   for (const Config& c : configs) {
     exec::ThreadPool pool(cores);
-    exec::Lane lane(&pool);
     dyn::Options opt = base;
     opt.build_chunk = c.chunk;
     if (c.pool) opt.pool = &pool;
-    if (c.lane) opt.maintenance_lane = &lane;
     UpdateStats s = RunChurn(initial, opt, ops);
     table->AddRow({c.name, Table::Num(s.p50, 2), Table::Num(s.p99, 2),
                    Table::Num(s.p999, 1) + " | " + Table::Num(s.max, 1)});
@@ -237,7 +235,7 @@ int Run(int n, const char* json_path) {
   }
   std::printf(
       "\nShape note: parallel static build should approach serial/cores on a "
-      "multi-core host (this host: %zu); the sliced-lane update row should "
+      "multi-core host (this host: %zu); the pooled sliced update row should "
       "show the lowest max-update spike, and the sliced compaction's peak "
       "transient should undercut the naive rebuild (ratio < 1).\n",
       cores);

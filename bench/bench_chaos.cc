@@ -15,7 +15,7 @@
 // Every arm/disarm/heal event is logged (the chaos log); a failing seed
 // reproduces the exact schedule:   bench_chaos --seed=N
 //
-// Usage: bench_chaos [--seed=1] [--ops=3000] [--sharded]
+// Usage: bench_chaos [--seed=1] [--ops=3000]
 
 #include <algorithm>
 #include <cstdio>
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "src/fault/fault.h"
-#include "src/store/sharded_store.h"
 #include "src/store/store.h"
 #include "src/uncertain/uncertain_point.h"
 #include "src/util/rng.h"
@@ -85,8 +84,7 @@ void ShuffleFaults(const std::vector<std::string>& sites, Rng* rng, long op) {
 
 /// The live set must be exactly `acked` and answer bit-identically to a
 /// fresh static Engine built from it.
-template <typename EngineT>
-void CheckServing(const EngineT& engine, std::vector<dyn::Id> acked,
+void CheckServing(const dyn::DynamicEngine& engine, std::vector<dyn::Id> acked,
                   uint64_t query_seed, int queries) {
   std::sort(acked.begin(), acked.end());
   std::vector<dyn::Id> ids;
@@ -112,10 +110,8 @@ void CheckServing(const EngineT& engine, std::vector<dyn::Id> acked,
   }
 }
 
-/// One churn op against either store type; true if acked.
-template <typename StoreT>
-bool ChurnOp(StoreT* store, Rng* rng, std::vector<dyn::Id>* acked,
-             long* refused) {
+/// One churn op against the store; true if acked.
+bool ChurnOp(store::Store* store, Rng* rng, std::vector<dyn::Id>* acked, long* refused) {
   if (acked->empty() || rng->Bernoulli(0.7)) {
     util::StatusOr<dyn::Id> id = store->Insert(ChaosPoint(rng));
     if (!id.ok()) {
@@ -137,8 +133,7 @@ bool ChurnOp(StoreT* store, Rng* rng, std::vector<dyn::Id>* acked,
   return true;
 }
 
-template <typename StoreT, typename OptionsT>
-int RunChaos(const std::string& dir, OptionsT options, uint64_t seed,
+int RunChaos(const std::string& dir, const store::Store::Options& options, uint64_t seed,
              long ops) {
   std::vector<std::string> sites;
   for (const std::string& s : fault::ListFailpoints()) {
@@ -152,7 +147,7 @@ int RunChaos(const std::string& dir, OptionsT options, uint64_t seed,
   long refused = 0;
   uint64_t degraded_probes = 0;
   {
-    auto store = StoreT::Open(dir, options);
+    auto store = pnn::store::Store::Open(dir, options);
     for (long op = 0; op < ops; ++op) {
       if (op % 100 == 0) ShuffleFaults(sites, &rng, op);
       if (op % 100 == 60) {
@@ -180,7 +175,7 @@ int RunChaos(const std::string& dir, OptionsT options, uint64_t seed,
   }
 
   // Reopen: the acked history must recover exactly, bit-identically.
-  auto reopened = StoreT::Open(dir, options);
+  auto reopened = store::Store::Open(dir, options);
   CheckServing(reopened->engine(), acked, seed + 8888, 6);
 
   std::printf(
@@ -197,42 +192,26 @@ int RunChaos(const std::string& dir, OptionsT options, uint64_t seed,
 int main(int argc, char** argv) {
   uint64_t seed = 1;
   long ops = 3000;
-  bool sharded = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--seed=", 7) == 0) {
       seed = std::strtoull(argv[i] + 7, nullptr, 10);
     } else if (std::strncmp(argv[i], "--ops=", 6) == 0) {
       ops = std::strtol(argv[i] + 6, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--sharded") == 0) {
-      sharded = true;
     } else {
-      std::fprintf(stderr, "usage: %s [--seed=N] [--ops=N] [--sharded]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--seed=N] [--ops=N]\n", argv[0]);
       return 2;
     }
   }
 
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     ("pnn_chaos_" + std::to_string(seed) +
-                      (sharded ? "_sharded" : "")))
-                        .string();
+  std::string dir = std::filesystem::temp_directory_path().string();
+  dir += "/pnn_chaos_" + std::to_string(seed);
   std::filesystem::remove_all(dir);
 
-  int rc;
-  if (sharded) {
-    pnn::store::ShardedStore::Options options;
-    options.sharded.num_shards = 2;
-    options.sharded.shard.engine.seed = 77;
-    options.sharded.shard.engine.mc_rounds_override = 48;
-    options.sharded.shard.tail_limit = 8;
-    rc = pnn::RunChaos<pnn::store::ShardedStore>(dir, options, seed, ops);
-  } else {
-    pnn::store::Store::Options options;
-    options.dynamic.engine.seed = 77;
-    options.dynamic.engine.mc_rounds_override = 48;
-    options.dynamic.tail_limit = 8;
-    rc = pnn::RunChaos<pnn::store::Store>(dir, options, seed, ops);
-  }
+  pnn::store::Store::Options options;
+  options.dynamic.engine.seed = 77;
+  options.dynamic.engine.mc_rounds_override = 48;
+  options.dynamic.tail_limit = 8;
+  int rc = pnn::RunChaos(dir, options, seed, ops);
   if (rc == 0) std::filesystem::remove_all(dir);
   return rc;
 }

@@ -1,10 +1,9 @@
-// Query hot-path cost: cold (first query after an update — the snapshot
-// cache, combined view and tail samples were just invalidated) versus
+// Query hot-path cost: cold (first query after an update — the snapshot,
+// its answer cache and tail samples were just invalidated) versus
 // warm-cache (repeated queries against an unchanged live set) p50/p99 for
-// Quantify on the dynamic engine and the shard router, under both plans
-// (spiral and Monte Carlo), plus the combined-snapshot cache hit rate and
-// heap allocations per steady-state query from the counting hook
-// (util/alloc_hook.h). Emits the BENCH_pr4.json trajectory.
+// Quantify on the dynamic engine, under both plans (spiral and Monte
+// Carlo), plus heap allocations per steady-state query from the counting
+// hook (util/alloc_hook.h). Emits the BENCH_pr4.json trajectory.
 //
 //   ./bench_query_hotpath [--quick] [--json PATH] [n] [queries]
 //
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "src/dyn/dynamic_engine.h"
-#include "src/shard/sharded_engine.h"
 #include "src/util/alloc_hook.h"
 #include "src/util/bench_json.h"
 #include "src/util/rng.h"
@@ -49,14 +47,12 @@ UncertainPoint RandomDiscrete(Rng* rng) {
 struct Phase {
   double p50 = 0, p99 = 0;
   double allocs_per_query = 0;
-  double hit_rate = -1;  // Shard engines only.
 };
 
 // One engine x plan cell: cold = each query preceded by an insert+erase
 // round trip (same live set, fresh snapshots everywhere), warm = repeated
 // queries against the untouched engine.
-template <typename EngineT>
-void RunCell(EngineT* engine, const std::vector<Point2>& queries, double eps,
+void RunCell(dyn::DynamicEngine* engine, const std::vector<Point2>& queries, double eps,
              const UncertainPoint& churn_point, Phase* cold, Phase* warm,
              Table* table, const char* name, BenchJson* json) {
   std::vector<Quantification> out;
@@ -100,12 +96,9 @@ void RunCell(EngineT* engine, const std::vector<Point2>& queries, double eps,
                  Table::Num(ratio, 3), Table::Num(warm->allocs_per_query, 2)});
   for (const auto* phase : {cold, warm}) {
     std::string entry = std::string(name) + (phase == cold ? "_cold" : "_warm");
-    std::vector<std::pair<std::string, double>> metrics = {
-        {"p50_micros", phase->p50},
-        {"p99_micros", phase->p99},
-        {"allocs_per_query", phase->allocs_per_query}};
-    if (phase->hit_rate >= 0) metrics.push_back({"cache_hit_rate", phase->hit_rate});
-    json->Add(entry, metrics);
+    json->Add(entry, {{"p50_micros", phase->p50},
+                      {"p99_micros", phase->p99},
+                      {"allocs_per_query", phase->allocs_per_query}});
   }
 }
 
@@ -138,52 +131,17 @@ int Run(int n, int num_queries, const char* json_path) {
       dopt.engine.spiral_budget_fraction = 1e-9;
       dopt.engine.mc_rounds_override = 128;
     }
-
-    {
-      dyn::DynamicEngine engine(initial, dopt);
-      // Churn so the structure has several buckets plus a live tail — the
-      // shape a long-running server actually queries.
-      for (int i = 0; i < n / 10; ++i) {
-        engine.Erase(static_cast<dyn::Id>(i * 7 % n));
-        engine.Insert(RandomDiscrete(&rng));
-      }
-      engine.Prewarm(eps);
-      Phase cold, warm;
-      RunCell(&engine, queries, eps, churn_point, &cold, &warm, &table,
-              mc ? "dyn_mc" : "dyn_spiral", &json);
+    dyn::DynamicEngine engine(initial, dopt);
+    // Churn so the structure has several buckets plus a live tail — the
+    // shape a long-running server actually queries.
+    for (int i = 0; i < n / 10; ++i) {
+      engine.Erase(static_cast<dyn::Id>(i * 7 % n));
+      engine.Insert(RandomDiscrete(&rng));
     }
-    {
-      shard::Options sopt;
-      sopt.num_shards = 4;
-      sopt.shard = dopt;
-      shard::ShardedEngine engine(initial, sopt);
-      for (int i = 0; i < n / 10; ++i) {
-        engine.Erase(static_cast<dyn::Id>(i * 7 % n));
-        engine.Insert(RandomDiscrete(&rng));
-      }
-      engine.Prewarm(eps);
-      shard::SnapshotCacheStats s0 = engine.snapshot_cache_stats();
-      Phase cold, warm;
-      // Hit rates are attributed per phase below by sampling the counters
-      // around RunCell's two passes; RunCell only fills latencies/allocs.
-      RunCell(&engine, queries, eps, churn_point, &cold, &warm, &table,
-              mc ? "shard_mc" : "shard_spiral", &json);
-      shard::SnapshotCacheStats s1 = engine.snapshot_cache_stats();
-      uint64_t lookups = (s1.hits - s0.hits) + (s1.misses - s0.misses);
-      double hit_rate =
-          lookups > 0 ? static_cast<double>(s1.hits - s0.hits) /
-                            static_cast<double>(lookups)
-                      : 0.0;
-      json.Add(std::string(mc ? "shard_mc" : "shard_spiral") + "_cache",
-               {{"hits", static_cast<double>(s1.hits - s0.hits)},
-                {"misses", static_cast<double>(s1.misses - s0.misses)},
-                {"hit_rate", hit_rate}});
-      std::printf("%s snapshot cache: %llu hits / %llu misses (%.1f%% hit rate)\n",
-                  mc ? "shard_mc" : "shard_spiral",
-                  static_cast<unsigned long long>(s1.hits - s0.hits),
-                  static_cast<unsigned long long>(s1.misses - s0.misses),
-                  100.0 * hit_rate);
-    }
+    engine.Prewarm(eps);
+    Phase cold, warm;
+    RunCell(&engine, queries, eps, churn_point, &cold, &warm, &table,
+            mc ? "dyn_mc" : "dyn_spiral", &json);
   }
   table.Print();
 
@@ -195,8 +153,8 @@ int Run(int n, int num_queries, const char* json_path) {
     std::printf("\nwrote %s\n", json_path);
   }
   std::printf("\nShape note: warm rows should show ~0 allocs/query and the MC "
-              "cells a large cold/warm ratio (tail re-sampling + view rebuild "
-              "dominate cold queries).\n");
+              "cells a large cold/warm ratio (tail re-sampling dominates cold "
+              "queries).\n");
   return 0;
 }
 

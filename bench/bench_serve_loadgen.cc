@@ -1,5 +1,5 @@
 // Load generator for pnn::serve::Server: an in-process loopback server
-// over a ShardedEngine backend, driven by pipelined clients in two
+// over a DynamicEngine backend, driven by pipelined clients in two
 // phases, emitting the PR-gate JSON (BENCH_pr6.json):
 //
 //   1. closed-loop — each client thread keeps a fixed window of requests
@@ -31,9 +31,9 @@
 
 #include "src/api/engine_ref.h"
 #include "src/api/query.h"
+#include "src/dyn/dynamic_engine.h"
 #include "src/serve/client.h"
 #include "src/serve/server.h"
-#include "src/shard/sharded_engine.h"
 #include "src/util/bench_json.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
@@ -180,12 +180,11 @@ int Run(int n, int requests, const char* json_path) {
   std::printf("# pnn::serve load generator (n=%d, %d requests/phase, %zu cores)\n",
               n, requests, cores);
 
-  // Backend: a sharded engine with a realistic point count.
+  // Backend: a dynamic engine with a realistic point count.
   Rng rng(4242);
-  shard::Options sopt;
-  sopt.num_shards = 2;
-  sopt.shard.engine.seed = 77;
-  auto backend = std::make_unique<shard::ShardedEngine>(sopt);
+  dyn::Options dopt;
+  dopt.engine.seed = 77;
+  auto backend = std::make_unique<dyn::DynamicEngine>(dopt);
   auto locs = RandomDiscreteLocations(n, 3, 25, 4, &rng);
   for (const auto& l : locs) {
     std::vector<double> w(l.size(), 1.0 / static_cast<double>(l.size()));

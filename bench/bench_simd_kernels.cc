@@ -4,9 +4,8 @@
 // under forced-scalar dispatch and under whatever the host resolves
 // (AVX2 on AVX2 hosts), so the speedup column is the refactor's headline.
 // Emits BENCH_pr8.json. Meta records host_cores and the resolved ISA:
-// kernel speedups are per-core statements, and the standing caveat that
-// shard-scaling numbers from 1-core hosts prove nothing still applies
-// (see ROADMAP "Multi-core bench truth").
+// kernel speedups are per-core statements, so compare them only between
+// runs with the same host_cores.
 //
 //   ./bench_simd_kernels [--quick] [--json PATH] [n] [queries]
 
@@ -202,8 +201,7 @@ int Run(bool quick, int n, int num_queries, const char* json_path) {
   json.AddMeta("simd_isa", isa);
   json.AddMeta("note",
                "speedups are per-core (scalar-dispatch vs resolved-dispatch "
-               "on the same host); shard-scaling trajectories from 1-core "
-               "hosts remain unproven per ROADMAP 'Multi-core bench truth'");
+               "on the same host); compare runs only at equal host_cores");
 
   Table table({"kernel", "scalar ns", "simd ns", "speedup"});
   RawKernelBench(quick, &table, &json);

@@ -27,8 +27,8 @@ int main() {
   Engine engine(std::move(points));
   Point2 q{3.0, 2.0};
 
-  // Every backend (Engine, dyn::DynamicEngine, shard::ShardedEngine)
-  // answers the same five query kinds behind one type-erased handle.
+  // Every backend (Engine, dyn::DynamicEngine, store::Store) answers the
+  // same five query kinds behind one type-erased handle.
   api::EngineRef ref(&engine);
 
   // 1. Which points can possibly be the nearest neighbor? (Lemma 2.1)

@@ -16,11 +16,7 @@ constexpr const char* kMixedExactMessage =
 
 EngineRef::Pin EngineRef::Capture() const {
   Pin pin;
-  if (dyn_view() != nullptr) {
-    pin.snap = dyn_view()->snapshot();
-  } else if (sharded_view() != nullptr) {
-    pin.view = sharded_view()->View();
-  }
+  if (dyn_view() != nullptr) pin.snap = dyn_view()->snapshot();
   return pin;
 }
 
@@ -45,38 +41,28 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
     return QueryResponse::Error(valid_status, request.kind, std::move(detail));
   }
 
-  // Resolve the pinned state once: queries below answer as of `snap`/
-  // `view` on the mutable backends (identical to the snapshot overloads
-  // the batch executor already used), the static Engine needs no pin.
+  // Resolve the pinned state once: queries below answer as of `snap` on
+  // the mutable backends (identical to the snapshot overloads the batch
+  // executor already used), the static Engine needs no pin.
   const dyn::DynamicEngine* dv = dyn_view();
-  const shard::ShardedEngine* sv = sharded_view();
   std::shared_ptr<const dyn::Snapshot> snap;
-  std::shared_ptr<const shard::CombinedView> view;
-  if (!request.is_update()) {
-    if (dv != nullptr) {
-      snap = (pin != nullptr && pin->snap != nullptr) ? pin->snap : dv->snapshot();
-    } else if (sv != nullptr) {
-      view = (pin != nullptr && pin->view != nullptr) ? pin->view : sv->View();
-    }
+  if (!request.is_update() && dv != nullptr) {
+    snap = (pin != nullptr && pin->snap != nullptr) ? pin->snap : dv->snapshot();
   }
 
   switch (request.kind) {
     case QueryKind::kNonzeroNN:
       if (engine_ != nullptr) {
         r.ids = engine_->NonzeroNN(request.q);
-      } else if (dv != nullptr) {
-        r.ids = dv->NonzeroNN(*snap, request.q);
       } else {
-        r.ids = sv->NonzeroNN(*view, request.q);
+        r.ids = dv->NonzeroNN(*snap, request.q);
       }
       break;
     case QueryKind::kQuantify:
       if (engine_ != nullptr) {
         r.quants = engine_->Quantify(request.q, request.eps);
-      } else if (dv != nullptr) {
-        r.quants = dv->Quantify(*snap, request.q, request.eps);
       } else {
-        r.quants = sv->Quantify(*view, request.q, request.eps);
+        r.quants = dv->Quantify(*snap, request.q, request.eps);
       }
       break;
     case QueryKind::kQuantifyExact: {
@@ -86,9 +72,8 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
         empty = engine_->points().empty();
         mixed = !engine_->all_discrete() && !engine_->all_continuous();
       } else {
-        const dyn::Snapshot& s = dv != nullptr ? *snap : *view->combined;
-        empty = s.live_count == 0;
-        mixed = !empty && !s.all_discrete() && !s.all_continuous();
+        empty = snap->live_count == 0;
+        mixed = !empty && !snap->all_discrete() && !snap->all_continuous();
       }
       if (mixed) {
         return QueryResponse::Error(StatusCode::kUnimplemented, request.kind,
@@ -97,10 +82,8 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
       if (!empty) {
         if (engine_ != nullptr) {
           r.quants = engine_->QuantifyExact(request.q);
-        } else if (dv != nullptr) {
-          r.quants = dv->QuantifyExact(*snap, request.q);
         } else {
-          r.quants = sv->QuantifyExact(*view, request.q);
+          r.quants = dv->QuantifyExact(*snap, request.q);
         }
       }
       break;
@@ -108,19 +91,15 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
     case QueryKind::kThresholdNN:
       if (engine_ != nullptr) {
         r.quants = engine_->ThresholdNN(request.q, request.tau, request.eps);
-      } else if (dv != nullptr) {
-        r.quants = dv->ThresholdNN(*snap, request.q, request.tau, request.eps);
       } else {
-        r.quants = sv->ThresholdNN(*view, request.q, request.tau, request.eps);
+        r.quants = dv->ThresholdNN(*snap, request.q, request.tau, request.eps);
       }
       break;
     case QueryKind::kMostLikelyNN:
       if (engine_ != nullptr) {
         r.id = engine_->MostLikelyNN(request.q, request.eps);
-      } else if (dv != nullptr) {
-        r.id = dv->MostLikelyNN(*snap, request.q, request.eps);
       } else {
-        r.id = sv->MostLikelyNN(*view, request.q, request.eps);
+        r.id = dv->MostLikelyNN(*snap, request.q, request.eps);
       }
       break;
     case QueryKind::kInsert:
@@ -134,17 +113,8 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
                                       id.status().ToString());
         }
         r.id = *id;
-      } else if (sharded_store_ != nullptr) {
-        util::StatusOr<dyn::Id> id = sharded_store_->Insert(*request.point);
-        if (!id.ok()) {
-          return QueryResponse::Error(StatusCode::kUnavailable, request.kind,
-                                      id.status().ToString());
-        }
-        r.id = *id;
       } else if (dyn_ != nullptr) {
         r.id = dyn_->Insert(*request.point);
-      } else if (sharded_ != nullptr) {
-        r.id = sharded_->Insert(*request.point);
       } else {
         return QueryResponse::Error(StatusCode::kUnimplemented, request.kind,
                                     "static Engine backends are immutable");
@@ -158,17 +128,8 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
                                       erased.status().ToString());
         }
         r.id = *erased ? request.id : -1;
-      } else if (sharded_store_ != nullptr) {
-        util::StatusOr<bool> erased = sharded_store_->Erase(request.id);
-        if (!erased.ok()) {
-          return QueryResponse::Error(StatusCode::kUnavailable, request.kind,
-                                      erased.status().ToString());
-        }
-        r.id = *erased ? request.id : -1;
       } else if (dyn_ != nullptr) {
         r.id = dyn_->Erase(request.id) ? request.id : -1;
-      } else if (sharded_ != nullptr) {
-        r.id = sharded_->Erase(request.id) ? request.id : -1;
       } else {
         return QueryResponse::Error(StatusCode::kUnimplemented, request.kind,
                                     "static Engine backends are immutable");
@@ -183,21 +144,17 @@ void EngineRef::Prewarm(std::optional<double> eps) const {
     engine_->Prewarm(eps);
   } else if (dyn_view() != nullptr) {
     dyn_view()->Prewarm(eps);
-  } else if (sharded_view() != nullptr) {
-    sharded_view()->Prewarm(eps);
   }
 }
 
 QuantifyPlan EngineRef::PlanForQuantify(std::optional<double> eps) const {
   if (engine_ != nullptr) return engine_->PlanForQuantify(eps);
-  if (dyn_view() != nullptr) return dyn_view()->PlanForQuantify(eps);
-  return sharded_view()->PlanForQuantify(eps);
+  return dyn_view()->PlanForQuantify(eps);
 }
 
 size_t EngineRef::live_size() const {
   if (engine_ != nullptr) return engine_->points().size();
   if (dyn_view() != nullptr) return dyn_view()->live_size();
-  if (sharded_view() != nullptr) return sharded_view()->live_size();
   return 0;
 }
 

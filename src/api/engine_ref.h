@@ -1,23 +1,21 @@
 // pnn::api::EngineRef — a type-erased, non-owning handle over the query
-// backends (static Engine, dyn::DynamicEngine, shard::ShardedEngine, and
-// their durable wrappers store::Store / store::ShardedStore) that
-// dispatches api::QueryRequest.
+// backends (static Engine, dyn::DynamicEngine, and its durable wrapper
+// store::Store) that dispatches api::QueryRequest.
 //
 // This is the seam the serving layer and the batch executor stand on: the
 // server decodes wire frames into QueryRequests and calls one EngineRef;
 // exec::BatchEngine's per-backend switch quintets collapsed into the same
 // dispatch. Answers are bit-identical to the direct method calls they
 // replace (tests/api_engine_ref_test.cc differential-tests randomized op
-// streams on all three backends).
+// streams on the static and dynamic backends).
 //
 // Pinning: Capture() grabs the backend's current immutable state (the
-// dynamic engine's Snapshot / the shard router's CombinedView; nothing for
-// the static Engine, which never changes) and Call(request, pin) answers
-// as of that capture — the batch executor pins once per query run, the
-// server once per coalesced network batch. Updates always apply to the
-// live backend regardless of any pin.
+// dynamic engine's Snapshot; nothing for the static Engine, which never
+// changes) and Call(request, pin) answers as of that capture — the batch
+// executor pins once per query run, the server once per coalesced network
+// batch. Updates always apply to the live backend regardless of any pin.
 //
-// Thread safety: EngineRef is a pair of pointers — copy it freely. Calls
+// Thread safety: EngineRef is three pointers — copy it freely. Calls
 // are as safe as the backend's own methods: queries may run concurrently
 // with anything; updates serialize inside the backend.
 
@@ -31,8 +29,6 @@
 #include "src/api/query.h"
 #include "src/core/pnn.h"
 #include "src/dyn/dynamic_engine.h"
-#include "src/shard/sharded_engine.h"
-#include "src/store/sharded_store.h"
 #include "src/store/store.h"
 
 namespace pnn {
@@ -41,42 +37,34 @@ namespace api {
 class EngineRef {
  public:
   /// Which backend a ref points at (mostly for logs and tests).
-  enum class Backend { kNone, kStatic, kDynamic, kSharded, kStore, kShardedStore };
+  enum class Backend { kNone, kStatic, kDynamic, kStore };
 
   EngineRef() = default;
   /// Static backend: the five query kinds; Insert/Erase answer
   /// kUnimplemented. The engine must outlive every call.
   explicit EngineRef(const Engine* engine) : engine_(engine) {}
   explicit EngineRef(dyn::DynamicEngine* engine) : dyn_(engine) {}
-  explicit EngineRef(shard::ShardedEngine* engine) : sharded_(engine) {}
-  /// Durable backends: queries run against the store's live engine
-  /// exactly like the in-memory refs; Insert/Erase route through the
+  /// Durable backend: queries run against the store's live engine
+  /// exactly like the in-memory ref; Insert/Erase route through the
   /// store so they are logged (and synced) before they apply.
   explicit EngineRef(store::Store* store) : store_(store) {}
-  explicit EngineRef(store::ShardedStore* store) : sharded_store_(store) {}
 
   Backend backend() const {
     if (engine_ != nullptr) return Backend::kStatic;
     if (dyn_ != nullptr) return Backend::kDynamic;
-    if (sharded_ != nullptr) return Backend::kSharded;
     if (store_ != nullptr) return Backend::kStore;
-    if (sharded_store_ != nullptr) return Backend::kShardedStore;
     return Backend::kNone;
   }
   bool valid() const { return backend() != Backend::kNone; }
   /// True when Insert/Erase are available (every backend but the static
   /// Engine).
-  bool supports_updates() const {
-    return dyn_ != nullptr || sharded_ != nullptr || store_ != nullptr ||
-           sharded_store_ != nullptr;
-  }
+  bool supports_updates() const { return dyn_view() != nullptr; }
 
   /// The backend's immutable state for pinned calls. Holding a Pin keeps
   /// the captured structures alive; an empty Pin (static backend, or
   /// default-constructed) makes Call(request, pin) answer the live state.
   struct Pin {
     std::shared_ptr<const dyn::Snapshot> snap;
-    std::shared_ptr<const shard::CombinedView> view;
   };
   Pin Capture() const;
 
@@ -88,7 +76,7 @@ class EngineRef {
   QueryResponse Call(const QueryRequest& request) const;
 
   /// Dispatches against pinned state: queries answer as of the capture
-  /// (bit-identical to the direct snapshot/view overloads), updates apply
+  /// (bit-identical to the direct snapshot overloads), updates apply
   /// to the live backend and invalidate nothing the pin holds.
   QueryResponse Call(const QueryRequest& request, const Pin& pin) const;
 
@@ -102,9 +90,7 @@ class EngineRef {
   /// The raw backends (null unless this ref wraps that kind).
   const Engine* static_engine() const { return engine_; }
   dyn::DynamicEngine* dynamic_engine() const { return dyn_; }
-  shard::ShardedEngine* sharded_engine() const { return sharded_; }
   store::Store* store() const { return store_; }
-  store::ShardedStore* sharded_store() const { return sharded_store_; }
 
  private:
   QueryResponse Dispatch(const QueryRequest& request, const Pin* pin) const;
@@ -113,16 +99,10 @@ class EngineRef {
   const dyn::DynamicEngine* dyn_view() const {
     return store_ != nullptr ? &store_->engine() : dyn_;
   }
-  /// The shard router queries read from; null unless sharded-shaped.
-  const shard::ShardedEngine* sharded_view() const {
-    return sharded_store_ != nullptr ? &sharded_store_->engine() : sharded_;
-  }
 
   const Engine* engine_ = nullptr;
   dyn::DynamicEngine* dyn_ = nullptr;
-  shard::ShardedEngine* sharded_ = nullptr;
   store::Store* store_ = nullptr;
-  store::ShardedStore* sharded_store_ = nullptr;
 };
 
 }  // namespace api

@@ -3,8 +3,8 @@
 //
 // The engines grew the same five query kinds (NonzeroNN, Quantify,
 // QuantifyExact, ThresholdNN, MostLikelyNN) as near-identical method
-// quintets on Engine, dyn::DynamicEngine and shard::ShardedEngine, plus a
-// switch-dispatched batch variant in exec::BatchEngine. A wire protocol
+// quintets on Engine and dyn::DynamicEngine, plus a switch-dispatched
+// batch variant in exec::BatchEngine. A wire protocol
 // cannot serialize "a method overload", so the serving layer forces the
 // consolidation the codebase already wanted: QueryRequest is a tagged
 // union over the five query kinds plus Insert/Erase, QueryResponse is the
@@ -34,7 +34,7 @@ namespace pnn {
 namespace api {
 
 /// Global point id — dyn::Id (int) widened nowhere: the static Engine's
-/// vector<int> indices and the dynamic/sharded ids share this type.
+/// vector<int> indices and the dynamic ids share this type.
 using Id = int;
 
 /// The operation a QueryRequest asks for. Values are part of the wire

@@ -122,7 +122,7 @@ class Engine {
 
   /// NonzeroNNWithin writing into `out` (cleared first) — with a warm
   /// scratch arena and a warm output buffer this allocates nothing, which
-  /// is what keeps the dynamic/shard NonzeroNN path at zero allocations
+  /// is what keeps the dynamic NonzeroNN path at zero allocations
   /// per warm query (tests/alloc_hotpath_test.cc).
   void NonzeroNNWithinInto(Point2 q, double bound, const std::vector<char>* skip,
                            std::vector<int>* out) const;
@@ -209,7 +209,7 @@ class Engine {
 /// Staged Engine construction for the dynamic layer's sliced maintenance
 /// builds: performs exactly the work of the Engine constructor, but split
 /// into bounded Step() calls so a background build can yield between
-/// chunks (the caller hops through its pool lane) instead of holding a
+/// chunks (the caller hops through its pool) instead of holding a
 /// worker for the whole build. Stages: one pass over the points in
 /// `chunk`-sized units (aggregates, then per-point gathering — hulls,
 /// centroids, flattened locations), then one Step per index kd build,
@@ -223,7 +223,8 @@ class Engine {
 /// plus kd scratch — not a second copy of the set (asserted with the
 /// alloc-hook peak counter in bench_build_latency).
 ///
-/// Not thread-safe; drive Step() from one thread (or lane) at a time.
+/// Not thread-safe; drive Step() from one thread (or chained pool hops)
+/// at a time.
 class EngineBuilder {
  public:
   /// `chunk` caps the points processed per scanning/gathering Step; 0

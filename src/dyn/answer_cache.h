@@ -1,9 +1,9 @@
 // Cross-query answer memoization: a small sharded LRU from (query kind,
 // query point, resolved eps) to the finished answer, hung off each
-// published Snapshot (and each shard CombinedView's union snapshot).
+// published Snapshot.
 //
 // Keying off the snapshot object is what makes invalidation free — every
-// insert/erase/merge/compaction/rebalance publishes a NEW snapshot with a
+// insert/erase/merge/compaction publishes a NEW snapshot with a
 // fresh (empty) cache, so a hit can never observe a stale answer, and the
 // old cache ages out with the last query still holding its snapshot. The
 // engines are deterministic per snapshot (same snapshot + same eps + same

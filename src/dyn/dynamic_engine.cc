@@ -41,8 +41,6 @@ DynamicEngine::DynamicEngine(Options options) : options_(std::move(options)) {
   PNN_CHECK_MSG(options_.tail_limit >= 1, "tail_limit must be >= 1");
   PNN_CHECK_MSG(options_.max_dead_fraction > 0 && options_.max_dead_fraction < 1,
                 "max_dead_fraction must be in (0,1)");
-  PNN_CHECK_MSG(options_.maintenance_lane == nullptr || options_.pool != nullptr,
-                "maintenance_lane requires a pool");
   // Bucket kd builds fork per-subtree across the maintenance pool unless
   // the caller picked a dedicated build pool.
   if (options_.engine.build_pool == nullptr) {
@@ -72,24 +70,6 @@ DynamicEngine::DynamicEngine(const UncertainSet& initial, Options options)
     AddAggregatesLocked(initial[i]);
   }
   auto bucket = std::make_shared<const Bucket>(std::move(ids), initial, options_.engine);
-  buckets_.push_back({bucket, nullptr, bucket->size()});
-  PublishLocked();
-}
-
-DynamicEngine::DynamicEngine(std::vector<Id> ids, const UncertainSet& points,
-                             Options options)
-    : DynamicEngine(std::move(options)) {
-  PNN_CHECK_MSG(ids.size() == points.size(), "ids must parallel points");
-  if (points.empty()) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (size_t i = 0; i < points.size(); ++i) {
-    PNN_CHECK_MSG(ids[i] >= 0 && (i == 0 || ids[i] > ids[i - 1]),
-                  "bulk ids must be nonnegative, ascending and unique");
-    live_.emplace(ids[i], points[i]);
-    AddAggregatesLocked(points[i]);
-  }
-  next_id_ = ids.back() + 1;
-  auto bucket = std::make_shared<const Bucket>(std::move(ids), points, options_.engine);
   buckets_.push_back({bucket, nullptr, bucket->size()});
   PublishLocked();
 }
@@ -184,9 +164,9 @@ void DynamicEngine::PublishLocked() {
   s->total_complexity = total_complexity_;
   s->max_k = live_ks_.empty() ? 1 : *live_ks_.rbegin();
   // Mirrors SpiralSearchPNN's spread computation (wmin/wmax seeds 1.0/0.0).
-  s->wmin = live_weights_.empty() ? 1.0 : std::min(1.0, *live_weights_.begin());
-  s->wmax = live_weights_.empty() ? 0.0 : *live_weights_.rbegin();
-  s->rho = s->wmax / s->wmin;
+  double wmin = live_weights_.empty() ? 1.0 : std::min(1.0, *live_weights_.begin());
+  double wmax = live_weights_.empty() ? 0.0 : *live_weights_.rbegin();
+  s->rho = wmax / wmin;
   std::atomic_store_explicit(&snapshot_, std::shared_ptr<const Snapshot>(std::move(s)),
                              std::memory_order_release);
 }
@@ -231,8 +211,9 @@ void DynamicEngine::InsertWithId(Id id, UncertainPoint point) {
   PNN_CHECK_MSG(id >= 0, "ids must be nonnegative");
   PNN_CHECK_MSG(live_.count(id) == 0, "InsertWithId id is already live");
   // A tombstoned copy of this id may still sit in a bucket or the tail
-  // (shard migration round trip); deadness is positional, so appending a
-  // fresh live entry alongside it is exact.
+  // (an erased id re-inserted, as a log's kMoveOut/kMoveIn replay does);
+  // deadness is positional, so appending a fresh live entry alongside it
+  // is exact.
   if (id >= next_id_) next_id_ = id + 1;
   InsertEntryLocked(id, std::move(point));
   PublishLocked();
@@ -259,7 +240,7 @@ bool DynamicEngine::Erase(Id id) {
   live_.erase(it);
 
   // Find the live copy: dead-masked copies of the same id may linger in
-  // buckets (and the tail) after a shard migration round trip; skip them.
+  // buckets (and the tail) after an erase/re-insert round trip; skip them.
   bool in_bucket = false;
   for (auto& bref : buckets_) {
     int local = bref.bucket->LocalIndex(id);
@@ -310,28 +291,20 @@ void DynamicEngine::MaybeStartMaintenanceLocked(std::unique_lock<std::mutex>& lo
   if (maintenance_running_ || !MaintenanceNeededLocked()) return;
   maintenance_running_ = true;
   if (options_.pool != nullptr) {
-    ScheduleMaintenanceHop();
+    options_.pool->Submit([this] { MaintenanceChain(); });
   } else {
     lock.unlock();
     MaintenanceLoop();
   }
 }
 
-void DynamicEngine::ScheduleMaintenanceHop() {
-  if (options_.maintenance_lane != nullptr) {
-    options_.maintenance_lane->Submit([this] { MaintenanceChain(); });
-  } else {
-    options_.pool->Submit([this] { MaintenanceChain(); });
-  }
-}
-
 void DynamicEngine::MaintenanceChain() {
   // One bounded step per hop: between steps the job goes back through the
-  // lane (or pool) queues, so queries fanning out on the pool and other
-  // engines' maintenance interleave with a long build instead of waiting
-  // out a monolithic one. When the step below returns false the engine
-  // may be destroyed by a racing destructor — touch nothing after it.
-  if (MaintenanceStep()) ScheduleMaintenanceHop();
+  // pool queues, so queries fanning out on the pool interleave with a long
+  // build instead of waiting out a monolithic one. When the step below
+  // returns false the engine may be destroyed by a racing destructor —
+  // touch nothing after it.
+  if (MaintenanceStep()) options_.pool->Submit([this] { MaintenanceChain(); });
 }
 
 DynamicEngine::MaintenancePlan DynamicEngine::DecidePlanLocked() {

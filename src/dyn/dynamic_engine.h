@@ -75,15 +75,6 @@ struct Options {
   /// engine.build_pool is set explicitly, it defaults to this pool, so
   /// bucket kd builds fork per-subtree across the same workers.
   exec::ThreadPool* pool = nullptr;
-  /// Serial lane for this engine's maintenance steps (requires `pool`;
-  /// the lane must be built over it and outlive the engine). With a lane,
-  /// a merge/compaction runs as a chain of bounded steps that hop through
-  /// the lane — so one engine's long build occupies at most one worker at
-  /// a time between its parallel sections, and several engines sharing a
-  /// pool (the shard router) interleave their maintenance instead of one
-  /// compaction starving the others' merges. Null = chain directly
-  /// through the pool.
-  exec::Lane* maintenance_lane = nullptr;
   /// Points per sliced-build step: a maintenance build gathers the live
   /// set once, then constructs the replacement bucket in units of ~this
   /// many points (per-subtree kd construction inside each unit), yielding
@@ -128,9 +119,10 @@ struct Snapshot {
   };
   std::vector<BucketRef> buckets;
   /// Tail entries in insertion order. Ids are not necessarily ascending
-  /// (InsertWithId may re-add an id previously moved out by the shard
-  /// router), and an id may recur dead in one part and live in another;
-  /// deadness is therefore positional, never keyed by id.
+  /// (InsertWithId may re-add an id that was erased earlier, as a store
+  /// log's kMoveOut/kMoveIn replay does), and an id may recur dead in one
+  /// part and live in another; deadness is therefore positional, never
+  /// keyed by id.
   std::shared_ptr<const std::vector<TailEntry>> tail;
   /// Tombstone mask parallel to `tail`; null when nothing is dead.
   std::shared_ptr<const std::vector<char>> tail_dead;
@@ -154,13 +146,9 @@ struct Snapshot {
   size_t continuous_count = 0;
   size_t total_complexity = 0;  // Sum of description complexities.
   size_t max_k = 1;             // max over live points of max(k, 1).
-  // Location-weight spread over the live set, with SpiralSearchPNN's
-  // seeding (wmin clamped to <= 1, wmax seeded 0). Kept alongside rho so
-  // partitions of snapshots (the shard router) can recombine the global
-  // spread by min/max instead of re-scanning every point.
-  double wmin = 1.0;
-  double wmax = 0.0;
-  double rho = 0.0;  // wmax / wmin.
+  // Location-weight spread wmax / wmin over the live set, with
+  // SpiralSearchPNN's seeding (wmin clamped to <= 1, wmax seeded 0).
+  double rho = 0.0;
 
   bool all_discrete() const { return live_count > 0 && continuous_count == 0; }
   bool all_continuous() const { return live_count > 0 && discrete_count == 0; }
@@ -207,11 +195,6 @@ class DynamicEngine {
   explicit DynamicEngine(Options options = Options());
   /// Bulk load: the initial points become one bucket with ids 0..n-1.
   explicit DynamicEngine(const UncertainSet& initial, Options options = Options());
-  /// Bulk load under caller-chosen ids (ascending, unique, parallel to
-  /// `points`): the shard router's per-shard bootstrap. Subsequent
-  /// Insert() ids continue after the largest initial id.
-  DynamicEngine(std::vector<Id> ids, const UncertainSet& points,
-                Options options = Options());
   /// Recovery: adopts already-built buckets with their tombstone masks
   /// (the durable store's segment + mask replay), instead of rebuilding
   /// from points. Live ids across the buckets must be unique; next_id
@@ -229,10 +212,10 @@ class DynamicEngine {
   Id Insert(UncertainPoint point);
 
   /// Adds a point under a caller-chosen id (must be >= 0 and not currently
-  /// live). The shard router uses this to keep ids global across shards —
-  /// both for new points and for points migrated between shards, whose old
-  /// engine may still hold a tombstoned copy of the same id. Sample streams
-  /// are keyed by id, so a migrated point keeps its Monte-Carlo identity.
+  /// live). The durable store assigns ids itself and applies inserts (and
+  /// log replay) through this; the engine may still hold a tombstoned copy
+  /// of the same id. Sample streams are keyed by id, so a point keeps its
+  /// Monte-Carlo identity across a re-insert.
   void InsertWithId(Id id, UncertainPoint point);
 
   /// Removes a point; false if the id is unknown or already erased.
@@ -323,9 +306,8 @@ class DynamicEngine {
   /// Blocks until no background merge/compaction is running or pending.
   void WaitForMaintenance() const;
 
-  /// The current immutable structure version (lock-free acquire load). The
-  /// shard router concatenates these across shards and feeds the union to
-  /// the same Merged* recombination this engine's own queries run.
+  /// The current immutable structure version (lock-free acquire load):
+  /// the pin for the snapshot query overloads above.
   std::shared_ptr<const Snapshot> snapshot() const { return Snap(); }
 
  private:
@@ -356,9 +338,8 @@ class DynamicEngine {
   /// Inline driver: steps back-to-back on the calling thread.
   void MaintenanceLoop();
   /// Background driver: runs one step, then re-submits itself through the
-  /// lane (or pool) — the cooperative yield between slices.
+  /// pool — the cooperative yield between slices.
   void MaintenanceChain();
-  void ScheduleMaintenanceHop();
 
   Options options_;
 
@@ -386,15 +367,14 @@ class DynamicEngine {
   std::vector<Id> erased_during_build_;
 
   // Owned by the maintenance driver (a single logical thread: the inline
-  // loop, or the chained lane/pool hops, which never overlap); not
+  // loop, or the chained pool hops, which never overlap); not
   // guarded by mu_.
   std::unique_ptr<BuildJob> job_;
 };
 
 /// The spiral-vs-Monte-Carlo routing rule over a snapshot's aggregates —
-/// exactly what a fresh static Engine over the same live set would decide.
-/// Shared between DynamicEngine::PlanForQuantify and the shard router
-/// (which applies it to the union of its shards' snapshots).
+/// exactly what a fresh static Engine over the same live set would decide
+/// (DynamicEngine::PlanForQuantify over its current snapshot).
 QuantifyPlan PlanForSnapshot(const Snapshot& snap, const Engine::Options& options,
                              double eps);
 

@@ -37,8 +37,17 @@ double SnapshotNonzeroDelta(const Snapshot& snap, Point2 q) {
   return bound;
 }
 
-void AppendNonzeroNNWithin(const Snapshot& snap, Point2 q, double bound, bool mixed,
-                           std::vector<Id>* out) {
+std::vector<Id> MergedNonzeroNN(const Snapshot& snap, Point2 q) {
+  std::vector<Id> out;
+  MergedNonzeroNNInto(snap, q, &out);
+  return out;
+}
+
+void MergedNonzeroNNInto(const Snapshot& snap, Point2 q, std::vector<Id>* out) {
+  out->clear();
+  if (snap.live_count == 0) return;
+  double bound = SnapshotNonzeroDelta(snap, q);
+  bool mixed = snap.discrete_count > 0 && snap.continuous_count > 0;
   util::ScratchVec<int> locals_lease;
   std::vector<int>& locals = *locals_lease;
   for (const auto& bref : snap.buckets) {
@@ -62,20 +71,6 @@ void AppendNonzeroNNWithin(const Snapshot& snap, Point2 q, double bound, bool mi
       }
     }
   }
-}
-
-std::vector<Id> MergedNonzeroNN(const Snapshot& snap, Point2 q) {
-  std::vector<Id> out;
-  MergedNonzeroNNInto(snap, q, &out);
-  return out;
-}
-
-void MergedNonzeroNNInto(const Snapshot& snap, Point2 q, std::vector<Id>* out) {
-  out->clear();
-  if (snap.live_count == 0) return;
-  double bound = SnapshotNonzeroDelta(snap, q);
-  bool mixed = snap.discrete_count > 0 && snap.continuous_count > 0;
-  AppendNonzeroNNWithin(snap, q, bound, mixed, out);
   std::sort(out->begin(), out->end());
 }
 
@@ -481,10 +476,8 @@ void PrewarmWorkerScratch(size_t points_hint, size_t rounds_hint) {
   util::ScratchVec<std::shared_ptr<const McRounds>>::Prewarm(1, 16);
   util::ScratchVec<McCandidate>::Prewarm(1, cap);
   // Quantify sweep accumulators + survival gather buffer
-  // (QuantifyPrefixSweepInto) and the shard router's per-shard delta table.
+  // (QuantifyPrefixSweepInto).
   util::ScratchVec<double>::Prewarm(4, cap);
-  util::ScratchVec<size_t>::Prewarm(1, 16);
-  util::ScratchVec<std::vector<Id>>::Prewarm(1, 16);
 }
 
 }  // namespace dyn

@@ -1,9 +1,7 @@
 // Cross-bucket query recombination for the dynamic engine: each function
 // answers one query mode over a Snapshot by decomposing it across the
 // buckets + tail partition and recombining exactly (see the equivalence
-// contract in dynamic_engine.h). The shard router feeds these the union of
-// many engines' snapshots — the decompositions never assume the partition
-// came from one engine.
+// contract in dynamic_engine.h).
 //
 // Degenerate snapshots are handled uniformly: an empty snapshot (no parts,
 // or every bucket and tail entry tombstoned, live_count == 0) yields empty
@@ -30,18 +28,10 @@ std::vector<Id> MergedNonzeroNN(const Snapshot& snap, Point2 q);
 /// warm arena and a warm output buffer this allocates nothing.
 void MergedNonzeroNNInto(const Snapshot& snap, Point2 q, std::vector<Id>* out);
 
-/// Stage 1 of MergedNonzeroNN on its own: this snapshot's contribution to
-/// the Lemma 2.1 pruning bound, min over its live parts (+inf when every
-/// part is dead). The shard router min-reduces this across shards.
+/// Stage 1 of MergedNonzeroNN on its own: the snapshot's Lemma 2.1
+/// pruning bound Delta(q), min over its live parts (+inf when every part
+/// is dead). MergedMonteCarloQuantify prunes its candidates by it too.
 double SnapshotNonzeroDelta(const Snapshot& snap, Point2 q);
-
-/// Stage 2 of MergedNonzeroNN on its own: appends (unsorted) the ids of
-/// this snapshot's live members with delta_i(q) < bound. `mixed` selects
-/// the clamped-MinDistance re-filter a mixed discrete/continuous reference
-/// engine applies — pass the UNION's mixedness, not this snapshot's, when
-/// recombining across shards.
-void AppendNonzeroNNWithin(const Snapshot& snap, Point2 q, double bound, bool mixed,
-                           std::vector<Id>* out);
 
 /// The snapshot's live set in ascending-id order (with the ids when
 /// `ids` is non-null) — the snapshot-consistent counterpart of

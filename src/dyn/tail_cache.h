@@ -3,12 +3,11 @@
 // stream of (seed, r, id) (MonteCarloPNN::RoundSample) — a pure function
 // of (seed, r, id) — so the samples can be computed once per snapshot and
 // shared by every query against it, instead of redrawn per (round, tail
-// entry) per query. Samples are
-// stored as per-point rows (McRounds, the bucket layout), so the pruned
-// winner scan in MergedMonteCarloQuantify reads a tail candidate exactly
-// like a bucket member. The cache object rides on the Snapshot (see
-// Snapshot::tail_mc): a new snapshot publish (insert/erase/merge, or a new
-// combined union in the shard router) starts a fresh empty cache, which is
+// entry) per query. Samples are stored as per-point rows (McRounds, the
+// bucket layout), so the pruned winner scan in MergedMonteCarloQuantify
+// reads a tail candidate exactly like a bucket member. The cache object
+// rides on the Snapshot (see Snapshot::tail_mc): a new snapshot publish
+// (insert/erase/merge/compaction) starts a fresh empty cache, which is
 // exactly the required invalidation.
 //
 // Concurrency mirrors Bucket::EnsureRounds: extensions serialize on a

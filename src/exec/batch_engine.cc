@@ -14,12 +14,9 @@ namespace exec {
 namespace {
 
 // The answer cache a pinned query run will consult: the dynamic snapshot's
-// or the shard view's union-snapshot's (null for static backends or when
-// caching is disabled).
+// (null for static backends or when caching is disabled).
 const dyn::AnswerCache* PinCache(const api::EngineRef::Pin& pin) {
-  if (pin.snap != nullptr) return pin.snap->answers.get();
-  if (pin.view != nullptr) return pin.view->combined->answers.get();
-  return nullptr;
+  return pin.snap != nullptr ? pin.snap->answers.get() : nullptr;
 }
 
 dyn::AnswerCache::Stats PinCacheStats(const api::EngineRef::Pin& pin) {
@@ -69,9 +66,6 @@ BatchEngine::BatchEngine(const Engine* engine, BatchOptions options)
 BatchEngine::BatchEngine(dyn::DynamicEngine* engine, BatchOptions options)
     : BatchEngine(api::EngineRef(engine), options) {}
 
-BatchEngine::BatchEngine(shard::ShardedEngine* engine, BatchOptions options)
-    : BatchEngine(api::EngineRef(engine), options) {}
-
 const Engine& BatchEngine::engine() const {
   PNN_CHECK_MSG(ref_.static_engine() != nullptr,
                 "engine() needs a static-Engine backend");
@@ -82,12 +76,6 @@ dyn::DynamicEngine& BatchEngine::dynamic_engine() const {
   PNN_CHECK_MSG(ref_.dynamic_engine() != nullptr,
                 "dynamic_engine() needs a DynamicEngine backend");
   return *ref_.dynamic_engine();
-}
-
-shard::ShardedEngine& BatchEngine::sharded_engine() const {
-  PNN_CHECK_MSG(ref_.sharded_engine() != nullptr,
-                "sharded_engine() needs a ShardedEngine backend");
-  return *ref_.sharded_engine();
 }
 
 template <typename T, typename Fn>
@@ -289,7 +277,7 @@ BatchResult<api::QueryResponse> BatchEngine::RequestBatch(
 BatchResult<MixedResult> BatchEngine::MixedBatch(const std::vector<MixedOp>& ops,
                                                  std::optional<double> eps) const {
   PNN_CHECK_MSG(ref_.supports_updates(),
-                "MixedBatch needs a DynamicEngine or ShardedEngine backend");
+                "MixedBatch needs a DynamicEngine or Store backend");
   std::vector<api::QueryRequest> requests;
   requests.reserve(ops.size());
   for (const MixedOp& op : ops) requests.push_back(op.ToRequest(eps));

@@ -38,7 +38,6 @@
 #include "src/core/pnn.h"
 #include "src/dyn/dynamic_engine.h"
 #include "src/exec/thread_pool.h"
-#include "src/shard/sharded_engine.h"
 
 namespace pnn {
 namespace exec {
@@ -90,7 +89,7 @@ struct BatchResult {
   BatchStats stats;
 };
 
-/// One operation of a mixed update/query stream (dynamic and sharded
+/// One operation of a mixed update/query stream (dynamic and store
 /// backends). Retained as a convenience façade; it converts 1:1 into
 /// api::QueryRequest (ToRequest) and MixedBatch routes through
 /// RequestBatch.
@@ -166,11 +165,6 @@ class BatchEngine {
   /// MixedBatch() becomes available for interleaved update/query streams.
   explicit BatchEngine(dyn::DynamicEngine* engine, BatchOptions options = {});
 
-  /// Sharded backend: like the dynamic backend (including MixedBatch), but
-  /// over a shard::ShardedEngine — queries fan out across this batch pool
-  /// while each query recombines across the shards.
-  explicit BatchEngine(shard::ShardedEngine* engine, BatchOptions options = {});
-
   /// The primitive every other batch method shims onto: applies a mixed
   /// stream of api::QueryRequests in order. Updates run sequentially at
   /// their stream positions; maximal runs of consecutive queries pin the
@@ -196,7 +190,7 @@ class BatchEngine {
       const std::vector<Point2>& queries, double tau,
       std::optional<double> eps = std::nullopt) const;
 
-  /// Applies a mixed update/query stream in order (dynamic and sharded
+  /// Applies a mixed update/query stream in order (dynamic and store
   /// backends); see RequestBatch, which this converts into.
   BatchResult<MixedResult> MixedBatch(const std::vector<MixedOp>& ops,
                                       std::optional<double> eps = std::nullopt) const;
@@ -207,8 +201,6 @@ class BatchEngine {
   const Engine& engine() const;
   /// The dynamic backend (aborts unless constructed over a DynamicEngine).
   dyn::DynamicEngine& dynamic_engine() const;
-  /// The sharded backend (aborts unless constructed over a ShardedEngine).
-  shard::ShardedEngine& sharded_engine() const;
   size_t num_threads() const { return pool_ ? pool_->size() + 1 : 1; }
 
  private:

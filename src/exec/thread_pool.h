@@ -83,9 +83,9 @@ class ThreadPool {
 /// body(i) for i in [0, n): on `pool` when it is non-null and the range
 /// has at least two iterations, serially on the calling thread otherwise —
 /// the shared optional-pool fallback of every build/fan-out site
-/// (structure builds, Monte-Carlo sample rows, the shard bootstrap).
-/// Templated on the body so the serial branch calls it directly: no
-/// std::function type-erasure, hence no allocation without a pool.
+/// (structure builds, Monte-Carlo sample rows). Templated on the body so
+/// the serial branch calls it directly: no std::function type-erasure,
+/// hence no allocation without a pool.
 template <typename Body>
 void MaybeParallelFor(ThreadPool* pool, size_t n, const Body& body) {
   if (pool != nullptr && n > 1) {
@@ -94,43 +94,6 @@ void MaybeParallelFor(ThreadPool* pool, size_t n, const Body& body) {
     for (size_t i = 0; i < n; ++i) body(i);
   }
 }
-
-/// Serial execution domain ("strand") over a ThreadPool: tasks submitted
-/// to a Lane run in FIFO order, never concurrently, as ordinary pool
-/// tasks — so a lane occupies at most one worker at any moment. Between
-/// consecutive tasks the lane goes back through the pool's queues, which
-/// is the cooperative yield the sliced structure builds rely on: a long
-/// chain of build slices on one lane interleaves with queries and with
-/// other lanes' work instead of monopolizing a worker end-to-end. The
-/// shard router gives every shard its own lane so one shard's compaction
-/// cannot starve another shard's merges.
-///
-/// Thread-safe. The pool must outlive the lane; the lane must outlive its
-/// queued tasks (the destructor drains).
-class Lane {
- public:
-  explicit Lane(ThreadPool* pool);
-  ~Lane();  // Drain()s.
-
-  Lane(const Lane&) = delete;
-  Lane& operator=(const Lane&) = delete;
-
-  /// Enqueues a task; runs after every previously submitted task finished.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and no lane task is running. Must not
-  /// be called from inside a lane task (it would wait on itself).
-  void Drain();
-
- private:
-  void RunOne();
-
-  ThreadPool* pool_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool running_ = false;  // A RunOne hop is queued or executing.
-};
 
 }  // namespace exec
 }  // namespace pnn

@@ -417,7 +417,9 @@ void Server::UpdateEpollInterest(uint64_t conn_id, Connection* conn) {
   conn->want_write = want_write;
   epoll_event ev;
   std::memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0);
+  uint32_t events = EPOLLIN;
+  if (want_write) events |= EPOLLOUT;
+  ev.events = events;
   ev.data.u64 = conn_id;
   epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }

@@ -1,7 +1,7 @@
 // pnn::serve::Server — the RPC serving layer: a loopback TCP server
 // answering api::QueryRequests over the length-prefixed binary protocol
-// (protocol.h), backed by any engine behind an api::EngineRef (the
-// intended production backend is shard::ShardedEngine).
+// (protocol.h), backed by any engine behind an api::EngineRef (in
+// production a durable store::Store, see store_server.h).
 //
 // Architecture: two server threads plus the engine's own pools.
 //   * IO thread — an epoll event loop owning the listen socket and every

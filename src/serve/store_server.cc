@@ -2,22 +2,18 @@
 
 #include <utility>
 
+#include "src/util/check.h"
+
 namespace pnn {
 namespace serve {
 
 std::unique_ptr<StoreServer> StoreServer::Open(const std::string& dir,
                                                Options options) {
+  PNN_CHECK_MSG(options.num_shards == 0,
+                "StoreServer::Options::num_shards must be 0 (no sharded mode)");
   std::unique_ptr<StoreServer> s(new StoreServer());
-  api::EngineRef ref;
-  if (options.num_shards == 0) {
-    s->store_ = store::Store::Open(dir, std::move(options.store));
-    ref = api::EngineRef(s->store_.get());
-  } else {
-    options.sharded.sharded.num_shards = options.num_shards;
-    s->sharded_store_ = store::ShardedStore::Open(dir, std::move(options.sharded));
-    ref = api::EngineRef(s->sharded_store_.get());
-  }
-  s->server_ = std::make_unique<Server>(ref, options.server);
+  s->store_ = store::Store::Open(dir, std::move(options.store));
+  s->server_ = std::make_unique<Server>(api::EngineRef(s->store_.get()), options.server);
   return s;
 }
 

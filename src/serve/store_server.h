@@ -12,7 +12,6 @@
 #include <string>
 
 #include "src/serve/server.h"
-#include "src/store/sharded_store.h"
 #include "src/store/store.h"
 
 namespace pnn {
@@ -21,17 +20,17 @@ namespace serve {
 class StoreServer {
  public:
   struct Options {
-    /// 0 = one durable DynamicEngine (store::Store). >= 1 = a durable
-    /// shard router with this many shards (store::ShardedStore; the
-    /// value overrides sharded.sharded.num_shards).
+    /// Must be 0 (checked by Open): the store is one durable
+    /// DynamicEngine. Kept only for source compatibility with callers
+    /// that still set it; no sharded mode exists.
     uint32_t num_shards = 0;
-    store::Store::Options store;           // Used when num_shards == 0.
-    store::ShardedStore::Options sharded;  // Used when num_shards >= 1.
+    store::Store::Options store;
     ServerOptions server;
   };
 
   /// Recovers or initializes the store, then builds the server over it
-  /// (not yet started). Aborts on disk corruption, like store::Open.
+  /// (not yet started). Aborts on disk corruption, like store::Open, and
+  /// when options.num_shards is not 0.
   static std::unique_ptr<StoreServer> Open(const std::string& dir,
                                            Options options);
 
@@ -42,15 +41,13 @@ class StoreServer {
   uint16_t port() const { return server_->port(); }
 
   Server& server() { return *server_; }
-  /// The backing store (null for the mode not in use).
+  /// The backing store.
   store::Store* store() { return store_.get(); }
-  store::ShardedStore* sharded_store() { return sharded_store_.get(); }
 
  private:
   StoreServer() = default;
 
   std::unique_ptr<store::Store> store_;
-  std::unique_ptr<store::ShardedStore> sharded_store_;
   /// Declared last: the server stops before the store it reads closes.
   std::unique_ptr<Server> server_;
 };

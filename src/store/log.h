@@ -41,10 +41,10 @@ enum class LogRecordType : uint8_t {
   kMask = 2,
   kInsert = 3,   // {id, point} — also used to re-describe the tail at rotation.
   kErase = 4,    // {id}
-  /// Rebalance deltas (sharded stores): kMoveIn {id, move_seq, point} is
-  /// logged on the destination shard before kMoveOut {id, move_seq} on the
-  /// source, so a mid-move crash leaves the point on at least one shard;
-  /// recovery resolves a double appearance toward the higher move_seq.
+  /// Move records {id, move_seq[, point]}, written by the former in-process
+  /// sharded store when a point migrated between shards. Nothing writes
+  /// them now; they stay in the format so old logs still decode, and
+  /// replay applies kMoveIn as an insert and kMoveOut as an erase.
   kMoveIn = 5,
   kMoveOut = 6,
 };

@@ -22,7 +22,7 @@ namespace store {
 struct Manifest {
   uint64_t generation = 0;    // Live op log: oplog-<generation>.
   int64_t next_id = 0;        // Id floor at the checkpoint (replay can raise it).
-  uint64_t move_seq = 0;      // Rebalance sequence floor (sharded stores).
+  uint64_t move_seq = 0;      // Format compatibility only; written as 0.
   uint64_t engine_seed = 0;   // The engine seed every segment was cut under.
   /// Segment file ids in bucket snapshot order; bucket i of the recovered
   /// engine loads from seg-<segments[i]>.seg, and kMask records address

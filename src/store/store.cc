@@ -81,7 +81,6 @@ void StoreCore::InitFresh() {
   Manifest m;
   m.generation = generation_;
   m.next_id = 0;
-  m.move_seq = 0;
   m.engine_seed = engine_options_.seed;
   OrDie(WriteManifest(dir_ + "/" + kManifestName, m), "install initial manifest");
 }
@@ -251,7 +250,7 @@ util::Status StoreCore::Sync() {
 }
 
 util::Status StoreCore::MaybeCheckpoint(const dyn::Snapshot& snap,
-                                        int64_t next_id, uint64_t move_seq) {
+                                        int64_t next_id) {
   if (failed_) {
     return util::Status::Unavailable("store: degraded read-only (" +
                                      last_error_.ToString() + ")");
@@ -260,12 +259,11 @@ util::Status StoreCore::MaybeCheckpoint(const dyn::Snapshot& snap,
   for (size_t i = 0; same && i < tracked_.size(); ++i) {
     same = snap.buckets[i].bucket.get() == tracked_[i].first.get();
   }
-  if (!same) return Checkpoint(snap, next_id, move_seq);
+  if (!same) return Checkpoint(snap, next_id);
   return util::Status::Ok();
 }
 
-util::Status StoreCore::Checkpoint(const dyn::Snapshot& snap, int64_t next_id,
-                                   uint64_t move_seq) {
+util::Status StoreCore::Checkpoint(const dyn::Snapshot& snap, int64_t next_id) {
   // Transactional: no member state is committed until the manifest install
   // returns OK, so a failed attempt leaves the old generation live and
   // MaybeCheckpoint simply retries later. The generation number and file
@@ -390,7 +388,6 @@ util::Status StoreCore::Checkpoint(const dyn::Snapshot& snap, int64_t next_id,
   Manifest m;
   m.generation = next_generation;
   m.next_id = next_id;
-  m.move_seq = move_seq;
   m.engine_seed = engine_options_.seed;
   m.segments = segments;
   {
@@ -443,10 +440,9 @@ util::Status StoreCore::Checkpoint(const dyn::Snapshot& snap, int64_t next_id,
   return util::Status::Ok();
 }
 
-util::Status StoreCore::Heal(const dyn::Snapshot& snap, int64_t next_id,
-                             uint64_t move_seq) {
+util::Status StoreCore::Heal(const dyn::Snapshot& snap, int64_t next_id) {
   if (!failed_) return util::Status::Ok();
-  if (manifest_dirty_) return Checkpoint(snap, next_id, move_seq);
+  if (manifest_dirty_) return Checkpoint(snap, next_id);
   return HealTear();
 }
 
@@ -473,18 +469,6 @@ util::Status StoreCore::HealTear() {
   last_error_ = util::Status::Ok();
   ++stats_.heals;
   return util::Status::Ok();
-}
-
-util::Status StoreCore::RollbackTo(uint64_t offset) {
-  PNN_CHECK_MSG(offset <= log_bytes_, "store: rollback past the log end");
-  if (offset == log_bytes_ && !failed_) return util::Status::Ok();
-  if (healthy_bytes_ > offset) healthy_bytes_ = offset;
-  if (!failed_) {
-    failed_ = true;
-    ++stats_.degraded_entries;
-    last_error_ = util::Status::Unavailable("store: cross-shard move rollback");
-  }
-  return HealTear();
 }
 
 void StoreCore::NoteRecoveredOps(uint64_t replayed, uint64_t skipped) {
@@ -564,13 +548,13 @@ void Store::RecoverLocked(StoreCore::OpenResult result) {
   // fresh generation now so the log shrinks back to the tail. A failure
   // just opens the store degraded — the first mutation retries via Heal.
   engine_->WaitForMaintenance();
-  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_, 0);
+  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_);
 }
 
 util::Status Store::EnsureHealthyLocked() {
   if (core_.healthy()) return util::Status::Ok();
   engine_->WaitForMaintenance();
-  return core_.Heal(*engine_->snapshot(), next_id_, 0);
+  return core_.Heal(*engine_->snapshot(), next_id_);
 }
 
 util::StatusOr<dyn::Id> Store::Insert(UncertainPoint point) {
@@ -589,7 +573,7 @@ util::StatusOr<dyn::Id> Store::Insert(UncertainPoint point) {
   engine_->InsertWithId(id, std::move(point));
   // The op is acked whatever happens to the rotation — a failure here only
   // degrades FUTURE mutations.
-  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_, 0);
+  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_);
   return id;
 }
 
@@ -621,7 +605,7 @@ util::StatusOr<std::vector<dyn::Id>> Store::InsertBatch(
   for (size_t i = 0; i < points.size(); ++i) {
     engine_->InsertWithId(ids[i], std::move(points[i]));
   }
-  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_, 0);
+  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_);
   return ids;
 }
 
@@ -634,7 +618,7 @@ util::StatusOr<bool> Store::Erase(dyn::Id id) {
   rec.id = id;
   PNN_RETURN_IF_ERROR(core_.Append(std::move(rec)));
   PNN_CHECK(engine_->Erase(id));
-  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_, 0);
+  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_);
   return true;
 }
 
@@ -642,7 +626,7 @@ util::Status Store::Checkpoint() {
   std::lock_guard<std::mutex> lock(mu_);
   PNN_RETURN_IF_ERROR(EnsureHealthyLocked());
   engine_->WaitForMaintenance();
-  return core_.Checkpoint(*engine_->snapshot(), next_id_, 0);
+  return core_.Checkpoint(*engine_->snapshot(), next_id_);
 }
 
 bool Store::healthy() const {

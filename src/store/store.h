@@ -72,10 +72,9 @@ struct Stats {
   uint64_t truncated_log_bytes = 0;     // Torn tail discarded by recovery.
 };
 
-/// Log/segment/manifest bookkeeping for one directory — the reusable guts
-/// shared by Store (one engine) and ShardedStore (one core per shard).
-/// Not thread-safe; the owner serializes all calls (Store's mutex, or the
-/// sharded engine's update lock via its listener).
+/// Log/segment/manifest bookkeeping for one directory — Store's durable
+/// half, kept apart from its engine. Not thread-safe; the owner serializes
+/// all calls (Store's mutex).
 class StoreCore {
  public:
   /// What Open() recovered, for the owner to build its engine from.
@@ -121,8 +120,7 @@ class StoreCore {
 
   /// Rotates iff `snap`'s bucket pointer set differs from the one the
   /// current log generation describes. Call after applying a mutation.
-  util::Status MaybeCheckpoint(const dyn::Snapshot& snap, int64_t next_id,
-                               uint64_t move_seq);
+  util::Status MaybeCheckpoint(const dyn::Snapshot& snap, int64_t next_id);
 
   /// Unconditional rotation against `snap`: writes segments for unseen
   /// buckets, starts a fresh generation with mask/tail delta records,
@@ -134,16 +132,14 @@ class StoreCore {
   /// poisons the old log (the install may have reached disk, making old-
   /// log appends unrecoverable), so Heal() re-runs the rotation instead of
   /// probing.
-  util::Status Checkpoint(const dyn::Snapshot& snap, int64_t next_id,
-                          uint64_t move_seq);
+  util::Status Checkpoint(const dyn::Snapshot& snap, int64_t next_id);
 
   /// Attempts to leave the failed state. Tear repair: truncate the log to
   /// the last acked boundary, reopen, probe with an fdatasync. Manifest
   /// ambiguity: re-run Checkpoint(snap, ...) under a fresh generation.
   /// No-op when healthy. On failure the core stays failed and the error
   /// is returned.
-  util::Status Heal(const dyn::Snapshot& snap, int64_t next_id,
-                    uint64_t move_seq);
+  util::Status Heal(const dyn::Snapshot& snap, int64_t next_id);
 
   /// False once any append/sync/checkpoint step failed; mutations are
   /// refused until a Heal() succeeds. Queries are unaffected — the owner
@@ -153,19 +149,6 @@ class StoreCore {
   /// The failure that entered the current degraded episode (Ok when
   /// healthy).
   const util::Status& last_error() const { return last_error_; }
-
-  /// Logical end-of-log offset (bytes successfully appended). Pair with
-  /// RollbackTo to undo appends that must not survive — ShardedStore's
-  /// move rollback: if the destination logged kMoveIn but the source
-  /// failed to log kMoveOut, the dangling kMoveIn would resurrect the
-  /// point after a crash.
-  uint64_t LogOffset() const { return log_bytes_; }
-
-  /// Discards every append past `offset` (same generation as when the
-  /// offset was taken — no checkpoint may intervene): truncates, reopens
-  /// and re-probes the log. Leaves the core failed if the repair itself
-  /// fails.
-  util::Status RollbackTo(uint64_t offset);
 
   /// Marks recovery complete for bookkeeping done by the owner.
   void NoteRecoveredOps(uint64_t replayed, uint64_t skipped);

@@ -37,8 +37,7 @@ struct StreamingChurnOptions {
   // Moving hotspot: this fraction of arrivals clusters (std-dev
   // hotspot_sigma) around a center orbiting the 0.7*span circle,
   // completing hotspot_orbits turns over the stream — a drifting load
-  // imbalance that keeps any fixed spatial partition lopsided, which is
-  // exactly what the shard router's background rebalance corrects.
+  // imbalance that keeps any fixed spatial partition lopsided.
   double hotspot_fraction = 0.0;
   double hotspot_sigma = 5.0;
   double hotspot_orbits = 1.0;

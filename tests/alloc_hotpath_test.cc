@@ -1,11 +1,10 @@
 // Zero-allocation guarantees of the steady-state query hot path: with warm
-// caches (bucket Monte-Carlo rounds, tail samples, the shard router's
-// combined view) and a warm per-thread scratch arena, QuantifyInto on the
-// spiral and Monte-Carlo paths of both the dynamic engine and the shard
-// router performs zero heap allocations. Referencing
-// util::AllocationCount() links in the counting operator new override
-// (util/alloc_hook.cc), so the assertions see every allocation in the
-// process.
+// caches (bucket Monte-Carlo rounds, tail samples, the snapshot's answer
+// cache) and a warm per-thread scratch arena, QuantifyInto on the spiral
+// and Monte-Carlo paths of the dynamic engine performs zero heap
+// allocations. Referencing util::AllocationCount() links in the counting
+// operator new override (util/alloc_hook.cc), so the assertions see every
+// allocation in the process.
 
 #include <thread>
 #include <vector>
@@ -14,7 +13,6 @@
 
 #include "src/dyn/dynamic_engine.h"
 #include "src/dyn/merge.h"
-#include "src/shard/sharded_engine.h"
 #include "src/util/alloc_hook.h"
 #include "src/util/rng.h"
 
@@ -37,8 +35,7 @@ UncertainPoint SmallDiscrete(Rng* rng) {
 
 // Engines are built with churn so the structure has several buckets, live
 // tombstone masks and a non-empty tail — the worst steady-state shape.
-template <typename EngineT>
-void Churn(EngineT* engine, Rng* rng, int n) {
+void Churn(dyn::DynamicEngine* engine, Rng* rng, int n) {
   for (int i = 0; i < n; ++i) engine->Insert(SmallDiscrete(rng));
   for (int i = 0; i < n / 4; ++i) {
     engine->Erase(static_cast<dyn::Id>(i * 3 % n));
@@ -48,9 +45,8 @@ void Churn(EngineT* engine, Rng* rng, int n) {
 
 // Warm with the exact query set (settles caches and every scratch/output
 // capacity), then assert the same queries allocate nothing.
-template <typename EngineT>
-void ExpectZeroAllocQueries(EngineT* engine, const std::vector<Point2>& queries,
-                            double eps) {
+void ExpectZeroAllocQueries(dyn::DynamicEngine* engine,
+                            const std::vector<Point2>& queries, double eps) {
   std::vector<Quantification> out;
   for (int pass = 0; pass < 2; ++pass) {
     for (Point2 q : queries) engine->QuantifyInto(q, eps, &out);
@@ -141,39 +137,12 @@ TEST(AllocHotpath, FreshMonteCarloQueriesOnPrewarmedThreadAllocateNothing) {
   }
 }
 
-TEST(AllocHotpath, ShardedSpiralQueriesAllocateNothing) {
-  Rng rng(505);
-  shard::Options sopt;
-  sopt.num_shards = 3;
-  sopt.shard = DynOptions(false);
-  shard::ShardedEngine engine(sopt);
-  Churn(&engine, &rng, 300);
-  ASSERT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kSpiral);
-  shard::SnapshotCacheStats before = engine.snapshot_cache_stats();
-  ExpectZeroAllocQueries(&engine, TestQueries(&rng, 8), 0.1);
-  // The warm queries all hit the combined-snapshot cache.
-  shard::SnapshotCacheStats after = engine.snapshot_cache_stats();
-  EXPECT_GT(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
-}
-
-TEST(AllocHotpath, ShardedMonteCarloQueriesAllocateNothing) {
-  Rng rng(507);
-  shard::Options sopt;
-  sopt.num_shards = 3;
-  sopt.shard = DynOptions(true);
-  shard::ShardedEngine engine(sopt);
-  Churn(&engine, &rng, 300);
-  ASSERT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
-  ExpectZeroAllocQueries(&engine, TestQueries(&rng, 8), 0.1);
-}
-
 // NonzeroNN joins Quantify at zero allocations per warm query: stage 1
 // runs on scratch-backed kd walks, stage 2 reports through the
 // NonzeroNNWithinInto chain into scratch, and the merged ids land in the
 // caller's buffer.
-template <typename EngineT>
-void ExpectZeroAllocNonzeroNN(EngineT* engine, const std::vector<Point2>& queries) {
+void ExpectZeroAllocNonzeroNN(dyn::DynamicEngine* engine,
+                              const std::vector<Point2>& queries) {
   std::vector<dyn::Id> out;
   for (int pass = 0; pass < 2; ++pass) {
     for (Point2 q : queries) engine->NonzeroNNInto(q, &out);
@@ -198,16 +167,6 @@ TEST(AllocHotpath, DynamicNonzeroNNAllocatesNothing) {
   dyn::DynamicEngine engine(DynOptions(false));
   Churn(&engine, &rng, 300);
   ASSERT_GT(engine.tail_size(), 0u);
-  ExpectZeroAllocNonzeroNN(&engine, TestQueries(&rng, 8));
-}
-
-TEST(AllocHotpath, ShardedNonzeroNNAllocatesNothing) {
-  Rng rng(513);
-  shard::Options sopt;
-  sopt.num_shards = 3;
-  sopt.shard = DynOptions(false);
-  shard::ShardedEngine engine(sopt);
-  Churn(&engine, &rng, 300);
   ExpectZeroAllocNonzeroNN(&engine, TestQueries(&rng, 8));
 }
 
@@ -269,13 +228,10 @@ TEST(AllocHotpath, SlicedCompactionTransientPeakBounded) {
 }
 
 TEST(AllocHotpath, UpdatesInvalidateThenQueriesRewarm) {
-  // After an update the first query may allocate (view + tail cache
-  // rebuild); the steady state after it must return to zero.
+  // After an update the first query may allocate (fresh snapshot, tail
+  // cache and answer cache); the steady state after it must return to zero.
   Rng rng(509);
-  shard::Options sopt;
-  sopt.num_shards = 3;
-  sopt.shard = DynOptions(true);
-  shard::ShardedEngine engine(sopt);
+  dyn::DynamicEngine engine(DynOptions(true));
   Churn(&engine, &rng, 200);
   std::vector<Point2> queries = TestQueries(&rng, 4);
   ExpectZeroAllocQueries(&engine, queries, 0.1);

@@ -1,5 +1,5 @@
 // dyn::AnswerCache: the cross-query memoization layer hung off published
-// snapshots (and the shard router's combined views). Covered here:
+// snapshots. Covered here:
 //   * unit behavior — hit/miss, kind separation, LRU overwrite, stats;
 //   * engine-level hits with bit-identical answers, and equality against
 //     an engine running with the cache disabled (semantic invisibility);
@@ -9,7 +9,7 @@
 //     slots donate their vector capacity to the overwriting answer);
 //   * per-batch dedup surfaced in exec::BatchStats;
 //   * a TSan-exercised race of concurrent queriers against publishers
-//     (suite names start with Dynamic/Shard so the CI tsan job runs them).
+//     (suite names start with Dynamic so the CI tsan job runs them).
 
 #include <algorithm>
 #include <thread>
@@ -20,7 +20,6 @@
 #include "src/dyn/answer_cache.h"
 #include "src/dyn/dynamic_engine.h"
 #include "src/exec/batch_engine.h"
-#include "src/shard/sharded_engine.h"
 #include "src/util/alloc_hook.h"
 #include "src/util/rng.h"
 
@@ -41,8 +40,7 @@ UncertainPoint SmallDiscrete(Rng* rng) {
   return UncertainPoint::Discrete(std::move(locs), std::move(w));
 }
 
-template <typename EngineT>
-void Churn(EngineT* engine, Rng* rng, int n) {
+void Churn(dyn::DynamicEngine* engine, Rng* rng, int n) {
   for (int i = 0; i < n; ++i) engine->Insert(SmallDiscrete(rng));
   for (int i = 0; i < n / 4; ++i) {
     engine->Erase(static_cast<dyn::Id>(i * 3 % n));
@@ -269,34 +267,6 @@ TEST(DynamicAnswerCache, BatchStatsSeeTheDedup) {
       EXPECT_EQ(result.values[i + rep * unique.size()], result.values[i]);
     }
   }
-}
-
-TEST(ShardAnswerCache, ViewCacheHitsAndPublishInvalidates) {
-  Rng rng(611);
-  shard::Options sopt;
-  sopt.num_shards = 3;
-  shard::ShardedEngine engine(sopt);
-  Churn(&engine, &rng, 200);
-
-  auto view = engine.View();
-  ASSERT_NE(view->combined->answers, nullptr);
-  std::vector<Point2> queries = TestQueries(&rng, 8);
-  std::vector<dyn::Id> ids, again;
-  for (Point2 q : queries) engine.NonzeroNNInto(q, &ids);
-  dyn::AnswerCache::Stats s0 = view->combined->answers->stats();
-  for (Point2 q : queries) {
-    engine.NonzeroNNInto(*view, q, &ids);
-    engine.NonzeroNNInto(*view, q, &again);
-    EXPECT_EQ(again, ids);
-  }
-  dyn::AnswerCache::Stats s1 = view->combined->answers->stats();
-  EXPECT_EQ(s1.hits - s0.hits, 2 * queries.size());  // Pre-warmed above.
-
-  // Any shard publish rebuilds the view with a fresh cache.
-  engine.Insert(SmallDiscrete(&rng));
-  auto new_view = engine.View();
-  EXPECT_NE(new_view, view);
-  EXPECT_NE(new_view->combined->answers, view->combined->answers);
 }
 
 TEST(DynamicAnswerCacheRace, QueriersVsPublishers) {

@@ -1,9 +1,9 @@
 // Differential tests for pnn::api::EngineRef: answers mediated through the
 // type-erased QueryRequest/QueryResponse surface must be bit-identical to
-// calling the backend's methods directly — on all three backends, over
-// randomized op streams, pinned and unpinned. Also covers Validate() and
-// the status-instead-of-abort contract for requests that would PNN_CHECK
-// on the direct path.
+// calling the backend's methods directly — on the static and dynamic
+// backends, over randomized op streams, pinned and unpinned. Also covers
+// Validate() and the status-instead-of-abort contract for requests that
+// would PNN_CHECK on the direct path.
 
 #include "src/api/engine_ref.h"
 
@@ -17,7 +17,6 @@
 #include "src/api/query.h"
 #include "src/core/pnn.h"
 #include "src/dyn/dynamic_engine.h"
-#include "src/shard/sharded_engine.h"
 #include "src/workload/generators.h"
 
 namespace pnn {
@@ -137,33 +136,6 @@ TEST(ApiEngineRef, DynamicBackendDifferential) {
     }
     Point2 q{rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
     ExpectAgreesWithDirect(ref, direct, q, 0.1, /*exact_ok=*/(op % 7 == 0));
-  }
-}
-
-TEST(ApiEngineRef, ShardedBackendDifferential) {
-  Rng rng(504);
-  shard::Options sopt;
-  sopt.num_shards = 3;
-  sopt.shard.engine.seed = 77;
-  sopt.shard.engine.mc_rounds_override = 48;
-  sopt.shard.tail_limit = 8;
-  shard::ShardedEngine via_ref(sopt);
-  shard::ShardedEngine direct(sopt);
-  EngineRef ref(&via_ref);
-
-  std::vector<shard::Id> live;
-  for (int op = 0; op < 200; ++op) {
-    int r = static_cast<int>(rng.UniformInt(0, 99));
-    if (r < 50 || live.empty()) {
-      UncertainPoint p = RandomDiscretePoint(&rng);
-      QueryResponse resp = ref.Call(QueryRequest::Insert(p));
-      ASSERT_TRUE(resp.ok());
-      ASSERT_EQ(resp.id, direct.Insert(p));
-      live.push_back(resp.id);
-      continue;
-    }
-    Point2 q{rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
-    ExpectAgreesWithDirect(ref, direct, q, 0.1, /*exact_ok=*/(op % 9 == 0));
   }
 }
 

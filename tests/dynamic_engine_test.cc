@@ -272,9 +272,10 @@ TEST(MergedEdges, DeadBucketAlongsideLiveTail) {
 }
 
 TEST(DynamicEngine, InsertWithIdKeepsGlobalIdentity) {
-  // The shard-migration shape: an id erased here may come back later (via
-  // InsertWithId) while tombstoned copies of it still sit in a bucket or
-  // the tail; queries must see exactly the one live copy.
+  // The move-record replay shape (a log's kMoveOut then kMoveIn): an id
+  // erased here may come back later (via InsertWithId) while tombstoned
+  // copies of it still sit in a bucket or the tail; queries must see
+  // exactly the one live copy.
   Options dopt;
   dopt.tail_limit = 4;
   DynamicEngine engine(dopt);

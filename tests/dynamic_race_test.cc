@@ -73,7 +73,9 @@ TEST(DynamicEngineRace, QueriesRaceBackgroundMerges) {
           total += e.probability;
         }
         // Monte-Carlo counts partition the rounds exactly.
-        if (!quant.empty()) EXPECT_NEAR(total, 1.0, 1e-9);
+        if (!quant.empty()) {
+          EXPECT_NEAR(total, 1.0, 1e-9);
+        }
         queries_done.fetch_add(1);
       }
     });

@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include "src/dyn/dynamic_engine.h"
-#include "src/shard/sharded_engine.h"
 #include "src/spatial/kdtree.h"
 #include "src/store/store.h"
 #include "src/util/simd.h"
@@ -142,20 +141,7 @@ Answers RunDyn(const UncertainSet& set, const std::vector<Point2>& queries,
   return Collect(engine, queries, eps);
 }
 
-Answers RunShard(const UncertainSet& set, const std::vector<Point2>& queries,
-                 int width, double eps) {
-  shard::Options opt;
-  opt.num_shards = 3;
-  opt.shard.engine.kd_leaf_size = width;
-  opt.shard.engine.mc_rounds_override = 32;
-  opt.shard.tail_limit = 8;
-  shard::ShardedEngine engine(set, opt);
-  int n = static_cast<int>(set.size());
-  for (int i = 0; i < n / 4; ++i) engine.Erase(static_cast<dyn::Id>(i * 3 % n));
-  return Collect(engine, queries, eps);
-}
-
-enum class Backend { kStatic, kDyn, kShard };
+enum class Backend { kStatic, kDyn };
 
 void RunDifferential(Backend backend, bool discrete, bool force_scalar) {
   simd::ForceScalarForTest(force_scalar);
@@ -168,15 +154,8 @@ void RunDifferential(Backend backend, bool discrete, bool force_scalar) {
   double eps = 0.1;
 
   auto run = [&](int width) {
-    switch (backend) {
-      case Backend::kStatic:
-        return RunStatic(set, queries, width, eps);
-      case Backend::kDyn:
-        return RunDyn(set, queries, width, eps);
-      case Backend::kShard:
-        return RunShard(set, queries, width, eps);
-    }
-    return RunStatic(set, queries, width, eps);
+    return backend == Backend::kStatic ? RunStatic(set, queries, width, eps)
+                                       : RunDyn(set, queries, width, eps);
   };
   Answers base = run(kBaseWidth);
   for (int width : kWidths) {
@@ -190,8 +169,6 @@ TEST(KdWidth, StaticDiscrete) { RunDifferential(Backend::kStatic, true, false); 
 TEST(KdWidth, StaticContinuous) { RunDifferential(Backend::kStatic, false, false); }
 TEST(KdWidth, DynDiscrete) { RunDifferential(Backend::kDyn, true, false); }
 TEST(KdWidth, DynContinuous) { RunDifferential(Backend::kDyn, false, false); }
-TEST(KdWidth, ShardDiscrete) { RunDifferential(Backend::kShard, true, false); }
-TEST(KdWidth, ShardContinuous) { RunDifferential(Backend::kShard, false, false); }
 
 TEST(KdWidth, StaticDiscreteScalarDispatch) {
   RunDifferential(Backend::kStatic, true, true);
@@ -201,9 +178,6 @@ TEST(KdWidth, StaticContinuousScalarDispatch) {
 }
 TEST(KdWidth, DynDiscreteScalarDispatch) {
   RunDifferential(Backend::kDyn, true, true);
-}
-TEST(KdWidth, ShardDiscreteScalarDispatch) {
-  RunDifferential(Backend::kShard, true, true);
 }
 
 // Raw kd level: tie-heavy point sets (exact duplicates) through every
@@ -269,7 +243,9 @@ TEST(KdWidth, LeafWidthReportsBuiltExtent) {
     EXPECT_LE(tree.leaf_width(), width);
     // A split halves >width ranges, so the widest leaf exceeds width/2
     // whenever the tree has enough points to fill one.
-    if (static_cast<int>(pts.size()) > width) EXPECT_GT(tree.leaf_width(), width / 2);
+    if (static_cast<int>(pts.size()) > width) {
+      EXPECT_GT(tree.leaf_width(), width / 2);
+    }
   }
 }
 

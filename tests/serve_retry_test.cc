@@ -28,10 +28,10 @@
 
 #include "src/api/engine_ref.h"
 #include "src/api/query.h"
+#include "src/dyn/dynamic_engine.h"
 #include "src/fault/fault.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
-#include "src/shard/sharded_engine.h"
 #include "src/store/store.h"
 #include "src/workload/generators.h"
 
@@ -41,12 +41,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::unique_ptr<shard::ShardedEngine> MakeBackend(int points = 20) {
-  shard::Options sopt;
-  sopt.num_shards = 2;
-  sopt.shard.engine.seed = 77;
-  sopt.shard.engine.mc_rounds_override = 48;
-  auto engine = std::make_unique<shard::ShardedEngine>(sopt);
+std::unique_ptr<dyn::DynamicEngine> MakeBackend(int points = 20) {
+  dyn::Options dopt;
+  dopt.engine.seed = 77;
+  dopt.engine.mc_rounds_override = 48;
+  auto engine = std::make_unique<dyn::DynamicEngine>(dopt);
   Rng rng(901);
   auto locs = RandomDiscreteLocations(points, 3, 25, 4, &rng);
   for (const auto& l : locs) {

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,22 +26,22 @@
 
 #include "src/api/engine_ref.h"
 #include "src/api/query.h"
+#include "src/dyn/dynamic_engine.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
-#include "src/shard/sharded_engine.h"
+#include "src/serve/store_server.h"
 #include "src/workload/generators.h"
 
 namespace pnn {
 namespace serve {
 namespace {
 
-// A small sharded backend with deterministic contents.
-std::unique_ptr<shard::ShardedEngine> MakeBackend(int points = 40) {
-  shard::Options sopt;
-  sopt.num_shards = 2;
-  sopt.shard.engine.seed = 77;
-  sopt.shard.engine.mc_rounds_override = 48;
-  auto engine = std::make_unique<shard::ShardedEngine>(sopt);
+// A small dynamic backend with deterministic contents.
+std::unique_ptr<dyn::DynamicEngine> MakeBackend(int points = 40) {
+  dyn::Options dopt;
+  dopt.engine.seed = 77;
+  dopt.engine.mc_rounds_override = 48;
+  auto engine = std::make_unique<dyn::DynamicEngine>(dopt);
   Rng rng(901);
   auto locs = RandomDiscreteLocations(points, 3, 25, 4, &rng);
   for (const auto& l : locs) {
@@ -438,6 +439,33 @@ TEST(ServeServer, ManyConnectionsConcurrently) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server.stats().connections_accepted, static_cast<uint64_t>(kClients));
   server.Stop();
+}
+
+TEST(ServeServer, StoreServerServesItsStore) {
+  std::string dir = testing::TempDir() + "/store_server_serves";
+  std::filesystem::remove_all(dir);
+  auto server = StoreServer::Open(dir, StoreServer::Options());
+  ASSERT_TRUE(server->Start());
+  Client client;
+  ASSERT_TRUE(client.Connect(server->port()));
+  auto ins = client.Call(api::QueryRequest::Insert(
+      UncertainPoint::Discrete({{1, 1}, {2, 2}}, {0.5, 0.5})));
+  ASSERT_TRUE(ins && ins->ok());
+  auto nn = client.Call(api::QueryRequest::NonzeroNN({0, 0}));
+  ASSERT_TRUE(nn && nn->ok());
+  EXPECT_EQ(nn->ids, std::vector<api::Id>{ins->id});
+  EXPECT_EQ(server->store()->engine().live_size(), 1u);
+  server->Stop();
+  std::filesystem::remove_all(dir);
+}
+
+// StoreServer serves one durable store; a caller still asking for shards
+// must fail loudly at Open, naming the field, not get a silent single store.
+TEST(ServeServerDeath, StoreServerRejectsNonzeroNumShards) {
+  StoreServer::Options options;
+  options.num_shards = 2;
+  EXPECT_DEATH(StoreServer::Open(testing::TempDir() + "/store_server_shards", options),
+               "num_shards");
 }
 
 }  // namespace

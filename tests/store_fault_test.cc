@@ -24,7 +24,6 @@
 #include "src/api/engine_ref.h"
 #include "src/api/query.h"
 #include "src/fault/fault.h"
-#include "src/store/sharded_store.h"
 #include "src/store/store.h"
 
 namespace pnn {
@@ -70,34 +69,6 @@ void ExpectBitIdenticalToReference(const dyn::DynamicEngine& engine,
     std::vector<dyn::Id> want_nn;
     for (int i : reference.NonzeroNN(q)) want_nn.push_back(ids[i]);
     EXPECT_EQ(got_nn, want_nn);
-    std::vector<Quantification> got = engine.Quantify(q, 0.1);
-    std::vector<Quantification> want = reference.Quantify(q, 0.1);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].index, ids[want[i].index]);
-      EXPECT_EQ(got[i].probability, want[i].probability);
-    }
-  }
-}
-
-std::vector<dyn::Id> LiveIds(const shard::ShardedEngine& engine) {
-  std::vector<dyn::Id> ids;
-  engine.LiveSet(&ids);
-  return ids;
-}
-
-void ExpectBitIdenticalToReference(const shard::ShardedEngine& engine,
-                                   uint64_t query_seed, int queries) {
-  std::vector<dyn::Id> ids;
-  UncertainSet live = engine.LiveSet(&ids);
-  if (live.empty()) return;
-  Engine reference(live, engine.ReferenceEngineOptions());
-  Rng rng(query_seed);
-  for (int t = 0; t < queries; ++t) {
-    Point2 q{rng.Uniform(-25, 25), rng.Uniform(-25, 25)};
-    std::vector<dyn::Id> want_nn;
-    for (int i : reference.NonzeroNN(q)) want_nn.push_back(ids[i]);
-    EXPECT_EQ(engine.NonzeroNN(q), want_nn);
     std::vector<Quantification> got = engine.Quantify(q, 0.1);
     std::vector<Quantification> want = reference.Quantify(q, 0.1);
     ASSERT_EQ(got.size(), want.size());
@@ -328,50 +299,6 @@ TEST_F(StoreFaultTest, FailedCheckpointCommitsNothingAndRetries) {
   std::sort(acked.begin(), acked.end());
   EXPECT_EQ(LiveIds(reopened->engine()), acked);
   ExpectBitIdenticalToReference(reopened->engine(), 505, 6);
-}
-
-TEST_F(StoreFaultTest, ShardedStoreDegradesAndHealsPerShard) {
-  std::string dir = FreshDir("fp_sharded");
-  ShardedStore::Options options;
-  options.sharded.num_shards = 2;
-  options.sharded.shard.engine.seed = 77;
-  options.sharded.shard.engine.mc_rounds_override = 48;
-  options.sharded.shard.tail_limit = 8;
-  auto store = ShardedStore::Open(dir, options);
-  Rng rng(17);
-  std::vector<dyn::Id> acked;
-  for (int i = 0; i < 40; ++i) {
-    acked.push_back(store->Insert(TestPoint(&rng)).value());
-  }
-
-  fault::Arm("store.fdatasync", fault::AlwaysFail());
-  int refused = 0;
-  for (int i = 0; i < 10; ++i) {
-    util::StatusOr<dyn::Id> id = store->Insert(TestPoint(&rng));
-    if (id.ok()) {
-      acked.push_back(*id);
-    } else {
-      ++refused;
-    }
-  }
-  EXPECT_GT(refused, 0);
-  EXPECT_FALSE(store->healthy());
-  // Queries keep serving the acked set while degraded.
-  std::vector<dyn::Id> want = acked;
-  std::sort(want.begin(), want.end());
-  EXPECT_EQ(LiveIds(store->engine()), want);
-
-  fault::Disarm("store.fdatasync");
-  for (int i = 0; i < 10; ++i) {
-    acked.push_back(store->Insert(TestPoint(&rng)).value());
-  }
-  EXPECT_TRUE(store->healthy());
-
-  store.reset();
-  auto reopened = ShardedStore::Open(dir, options);
-  std::sort(acked.begin(), acked.end());
-  EXPECT_EQ(LiveIds(reopened->engine()), acked);
-  ExpectBitIdenticalToReference(reopened->engine(), 606, 6);
 }
 
 }  // namespace
